@@ -65,10 +65,14 @@ echo "== events smoke (trace capture, then the divergence auditor) =="
 echo "== kv smoke (org sweep, then the baseline-mirror auditor) =="
 ./target/release/bvsim kv --sweep --warmup 10000 --requests 40000 \
     --budget-kib 256 >/dev/null
-# Same convention as the LLC auditor: clean run and self-test both exit 0.
-./target/release/bvsim kv --lockstep --requests 20000 --budget-kib 256 >/dev/null
-./target/release/bvsim kv --lockstep --requests 20000 --budget-kib 256 \
-    --inject 5000 >/dev/null
+# Same convention as the LLC auditor: clean run and self-test both exit 0,
+# on every request profile.
+for dist in web analytics social; do
+    ./target/release/bvsim kv --lockstep --dist "$dist" --requests 20000 \
+        --budget-kib 256 >/dev/null
+    ./target/release/bvsim kv --lockstep --dist "$dist" --requests 20000 \
+        --budget-kib 256 --inject 5000 >/dev/null
+done
 
 echo "== fuzz smoke (fixed-seed campaign, inject self-test, corpus replay) =="
 # A fixed seed keeps CI deterministic; any failure exits nonzero with a

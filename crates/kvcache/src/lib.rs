@@ -31,6 +31,10 @@
 //! 64-byte chunk from the key under the profile's
 //! [`DataProfile`](bv_trace::DataProfile) mixture and runs the real BDI
 //! kernel over it, so compression ratios are honest kernel output.
+//! Tiers fetch a value on every miss and put, but a key's size is pure
+//! in the key, so [`run_kv`] and [`run_lockstep`] answer those fetches
+//! from a per-replay table: the kernel runs at most once per distinct
+//! key per replay.
 //! Request traffic comes from
 //! [`bv_trace::request`] (Zipfian popularity,
 //! diurnal phases, multi-client interleave); [`run_kv`] replays it, and

@@ -25,7 +25,7 @@
 //! auditor actually detects divergence rather than vacuously passing.
 
 use crate::org::{BaseVictimKv, UncompressedKv};
-use crate::value::compress_value;
+use crate::value::ValueSizes;
 use bv_events::NoEventSink;
 use bv_trace::request::{KvOp, KvRequest, RequestProfile, RequestStream};
 
@@ -105,21 +105,21 @@ fn describe_mismatch(expected: &[u64], got: &[u64]) -> String {
 pub fn run_lockstep(cfg: &LockstepConfig) -> LockstepReport {
     let mut bv: BaseVictimKv = BaseVictimKv::new(cfg.budget, NoEventSink);
     let mut unc: UncompressedKv = UncompressedKv::new(cfg.budget, NoEventSink);
-    let profile = cfg.profile.clone();
-    let stream = RequestStream::new(profile.clone(), cfg.seed);
+    // One table for both tiers: each distinct key is sized once.
+    let mut sizes = ValueSizes::new(&cfg.profile);
+    let stream = RequestStream::new(cfg.profile.clone(), cfg.seed);
 
     let mut ops = 0u64;
     let mut divergence = None;
     for req in stream.take(cfg.requests as usize) {
-        let spec = profile.value_spec(req.key);
         match req.op {
             KvOp::Get => {
-                bv.get(req.key, || compress_value(req.key, spec));
-                unc.get(req.key, || compress_value(req.key, spec));
+                bv.get(req.key, || sizes.get(req.key));
+                unc.get(req.key, || sizes.get(req.key));
             }
             KvOp::Put => {
-                bv.put(req.key, || compress_value(req.key, spec));
-                unc.put(req.key, || compress_value(req.key, spec));
+                bv.put(req.key, || sizes.get(req.key));
+                unc.put(req.key, || sizes.get(req.key));
             }
         }
         if Some(ops) == cfg.inject_at {

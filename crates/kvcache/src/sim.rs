@@ -9,9 +9,11 @@
 //! and [`run_kv_traced`] captures per-decision [`CacheEvent`]s through
 //! any [`EventSink`].
 //!
-//! Compression happens lazily: the BDI kernel only runs when a miss
-//! actually fetches a value, so hot keys served from the tier cost no
-//! kernel work — the same asymmetry a real software cache tier has.
+//! The tiers still fetch a value on every miss and put, exactly as a
+//! real software cache tier does, but a value's compressed size is pure
+//! in its key: each replay answers those fetches from one
+//! [`ValueSizes`] table, so the BDI kernel runs at most once per
+//! distinct key per replay. Hits never fetch at all.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +22,7 @@ use bv_telemetry::{ColumnId, Log2Histogram, TelemetryReport, TimeSeries};
 use bv_trace::request::{KvOp, RequestProfile, RequestStream};
 
 use crate::org::{KvCacheWith, KvOccupancy, KvOrgKind, KvStats};
-use crate::value::compress_value;
+use crate::value::ValueSizes;
 
 /// Default sampling period: one epoch per 10k requests.
 pub const DEFAULT_EPOCH_REQUESTS: u64 = 10_000;
@@ -102,14 +104,15 @@ impl KvRunResult {
 /// Replays the stream untraced and unsampled.
 #[must_use]
 pub fn run_kv(cfg: &KvConfig) -> KvRunResult {
-    let (result, _) = drive(cfg, NoEventSink, None);
+    let (result, _) = drive(cfg, &mut ValueSizes::new(&cfg.profile), NoEventSink, None);
     result
 }
 
 /// Replays the stream with an epoch sampler attached.
 #[must_use]
 pub fn run_kv_sampled(cfg: &KvConfig, telemetry: &mut KvTelemetry) -> KvRunResult {
-    let (result, _) = drive(cfg, NoEventSink, Some(telemetry));
+    let sizes = &mut ValueSizes::new(&cfg.profile);
+    let (result, _) = drive(cfg, sizes, NoEventSink, Some(telemetry));
     result
 }
 
@@ -117,22 +120,23 @@ pub fn run_kv_sampled(cfg: &KvConfig, telemetry: &mut KvTelemetry) -> KvRunResul
 /// events (oldest first) and how many the sink overwrote.
 #[must_use]
 pub fn run_kv_traced<S: EventSink>(cfg: &KvConfig, sink: S) -> (KvRunResult, Vec<CacheEvent>, u64) {
-    let (result, mut tier) = drive(cfg, sink, None);
+    let (result, mut tier) = drive(cfg, &mut ValueSizes::new(&cfg.profile), sink, None);
     let dropped = tier.events_dropped();
     (result, tier.drain_events(), dropped)
 }
 
+/// Replays `cfg`, answering the tier's fetches from `sizes`.
 fn drive<S: EventSink>(
     cfg: &KvConfig,
+    sizes: &mut ValueSizes,
     sink: S,
     mut telemetry: Option<&mut KvTelemetry>,
 ) -> (KvRunResult, KvCacheWith<S>) {
     let mut tier = cfg.org.build_traced(cfg.budget, sink);
-    let profile = cfg.profile.clone();
-    let mut stream = RequestStream::new(profile.clone(), cfg.seed);
+    let mut stream = RequestStream::new(cfg.profile.clone(), cfg.seed);
 
     for req in (&mut stream).take(cfg.warmup as usize) {
-        apply(&mut tier, &profile, req.key, req.op);
+        apply(&mut tier, sizes, req.key, req.op);
     }
     tier.reset_stats();
 
@@ -141,7 +145,7 @@ fn drive<S: EventSink>(
     }
     let mut issued = 0u64;
     for req in (&mut stream).take(cfg.requests as usize) {
-        apply(&mut tier, &profile, req.key, req.op);
+        apply(&mut tier, sizes, req.key, req.op);
         issued += 1;
         if let Some(tel) = telemetry.as_deref_mut() {
             if issued.is_multiple_of(tel.epoch_requests) {
@@ -155,7 +159,7 @@ fn drive<S: EventSink>(
 
     let result = KvRunResult {
         org: cfg.org,
-        profile: profile.name.to_string(),
+        profile: cfg.profile.name.to_string(),
         budget: cfg.budget,
         requests: cfg.requests,
         warmup: cfg.warmup,
@@ -166,8 +170,8 @@ fn drive<S: EventSink>(
     (result, tier)
 }
 
-fn apply<S: EventSink>(tier: &mut KvCacheWith<S>, profile: &RequestProfile, key: u64, op: KvOp) {
-    let fetch = || compress_value(key, profile.value_spec(key));
+fn apply<S: EventSink>(tier: &mut KvCacheWith<S>, sizes: &mut ValueSizes, key: u64, op: KvOp) {
+    let fetch = || sizes.get(key);
     match op {
         KvOp::Get => {
             tier.get(key, fetch);
@@ -478,6 +482,27 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| u64::from(e.set) < crate::org::KV_EVENT_BUCKETS));
+    }
+
+    #[test]
+    fn kernel_runs_at_most_once_per_distinct_key() {
+        // `KvConfig` defaults on analytics: 185,046 fetches (misses and
+        // puts, warmup included) over 11,999 distinct keys.
+        let cfg = KvConfig::new(KvOrgKind::BaseVictim, RequestProfile::analytics());
+        let mut sizes = ValueSizes::new(&cfg.profile);
+        let (result, _) = drive(&cfg, &mut sizes, NoEventSink, None);
+        let distinct: std::collections::HashSet<u64> =
+            RequestStream::new(cfg.profile.clone(), cfg.seed)
+                .take((cfg.warmup + cfg.requests) as usize)
+                .map(|req| req.key)
+                .collect();
+        // Every key is in range, so each kernel run filled one slot; and
+        // a key's first request always fetches, so every key was sized.
+        assert!(distinct.iter().all(|&key| key < cfg.profile.keys));
+        assert_eq!(sizes.sized(), distinct.len());
+        // The measured phase alone fetches far more often than that.
+        let fetches = result.stats.misses + result.stats.puts;
+        assert!(fetches > 10 * distinct.len() as u64, "{fetches} fetches");
     }
 
     #[test]

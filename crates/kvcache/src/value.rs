@@ -8,9 +8,13 @@
 //! [`Bdi`] kernel over every chunk — so a tier's compression ratio is
 //! the honest output of the hardware kernel over plausible bytes, not a
 //! modeled constant.
+//!
+//! A key's size is pure in the key, so a replay sizes each distinct key
+//! once through [`ValueSizes`] and answers every later fetch of it from
+//! the table.
 
 use bv_compress::{Bdi, CacheLine, Compressor, CACHE_LINE_BYTES};
-use bv_trace::request::ValueSpec;
+use bv_trace::request::{RequestProfile, ValueSpec};
 
 /// The two sizes an organization budgets against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +55,8 @@ impl ValueMeta {
 /// an incompressible chunk raw).
 ///
 /// Pure in `(key, spec)`: every tier in a comparison derives the same
-/// [`ValueMeta`] for the same key, which the lockstep auditor relies on.
+/// [`ValueMeta`] for the same key, which the lockstep auditor relies
+/// on, and a replay can size each distinct key once and reuse it.
 ///
 /// # Examples
 ///
@@ -84,10 +89,88 @@ pub fn compress_value(key: u64, spec: ValueSpec) -> ValueMeta {
     ValueMeta::new(spec.bytes.max(64), compressed.min(spec.bytes.max(64)))
 }
 
+/// The most keys a [`ValueSizes`] table holds (12 MiB of slots; the
+/// largest preset, `social`, needs 100k).
+const MAX_SLOTS: u64 = 1 << 20;
+
+/// One replay's table of [`compress_value`] results over a profile's
+/// keyspace: the kernel runs on a key's first fetch, and every later
+/// fetch of that key reads the slot.
+///
+/// Dense and indexed by key, sized [`RequestProfile::keys`] — a
+/// [`RequestStream`](bv_trace::request::RequestStream) only yields keys
+/// below that — but never past [`MAX_SLOTS`], so a hostile profile
+/// cannot make the table allocate without bound. A key outside the
+/// table is sized directly, uncached.
+pub(crate) struct ValueSizes<'p> {
+    profile: &'p RequestProfile,
+    slots: Vec<Option<ValueMeta>>,
+}
+
+impl<'p> ValueSizes<'p> {
+    /// An empty table over `profile`'s keyspace.
+    pub(crate) fn new(profile: &'p RequestProfile) -> ValueSizes<'p> {
+        ValueSizes {
+            profile,
+            slots: vec![None; profile.keys.min(MAX_SLOTS) as usize],
+        }
+    }
+
+    /// `compress_value(key, profile.value_spec(key))`, computed at most
+    /// once per in-range key.
+    pub(crate) fn get(&mut self, key: u64) -> ValueMeta {
+        let profile = self.profile;
+        let size = || compress_value(key, profile.value_spec(key));
+        match usize::try_from(key)
+            .ok()
+            .and_then(|k| self.slots.get_mut(k))
+        {
+            Some(slot) => *slot.get_or_insert_with(size),
+            None => size(),
+        }
+    }
+
+    /// How many keys the table holds, which is how many times it has
+    /// run the kernel for in-range keys.
+    #[cfg(test)]
+    pub(crate) fn sized(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bv_trace::DataProfile;
+
+    #[test]
+    fn value_sizes_match_the_kernel_in_and_out_of_range() {
+        for name in RequestProfile::NAMES {
+            let profile = RequestProfile::by_name(name).expect("preset");
+            let mut sizes = ValueSizes::new(&profile);
+            let last = profile.keys - 1;
+            let keys = [0, 1, last / 2, last, profile.keys, u64::MAX];
+            for key in keys.into_iter().chain(keys) {
+                assert_eq!(
+                    sizes.get(key),
+                    compress_value(key, profile.value_spec(key)),
+                    "{name} key {key}"
+                );
+            }
+            // Only the four in-range keys took a slot.
+            assert_eq!(sizes.sized(), 4, "{name}");
+        }
+    }
+
+    #[test]
+    fn value_sizes_cap_the_table_not_the_keyspace() {
+        let mut profile = RequestProfile::web();
+        profile.keys = u64::MAX;
+        let mut sizes = ValueSizes::new(&profile);
+        assert_eq!(sizes.slots.len() as u64, MAX_SLOTS);
+        let key = MAX_SLOTS + 5;
+        assert_eq!(sizes.get(key), compress_value(key, profile.value_spec(key)));
+    }
 
     #[test]
     fn compression_is_pure() {

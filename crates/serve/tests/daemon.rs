@@ -1,9 +1,12 @@
 //! End-to-end daemon tests over real TCP connections: cross-client
-//! dedup, worker-crash recovery, journal-backed restart, and cancel.
+//! dedup, worker-crash recovery, journal-backed restart, cancel, and
+//! hostile request lines.
 
 use bv_serve::{client, Daemon, Request, Response, ResultRow, ServeConfig, SweepGrid};
 use bv_trace::TraceRegistry;
 use std::collections::HashSet;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -372,6 +375,35 @@ fn cancel_drops_pending_jobs_and_done_reports_it() {
     );
     // Unknown tickets are rejected cleanly.
     assert!(client::watch(&addr, 999, |_| {}).is_err());
+    shutdown(&addr);
+    daemon.wait().expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("deep");
+    let daemon = start(dir.join("journal"), 1);
+    let addr = daemon.addr().to_string();
+
+    // 200,000 `[`s must be refused before they overflow the parser's
+    // stack, which would abort the whole daemon.
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    writeln!(conn, "{}", "[".repeat(200_000)).expect("send hostile line");
+    let mut reply = String::new();
+    BufReader::new(conn)
+        .read_line(&mut reply)
+        .expect("read reply");
+    match Response::parse_line(&reply).expect("reply parses") {
+        Response::Error { error } => {
+            assert!(error.contains("nesting deeper than 128"), "{error}");
+        }
+        other => panic!("hostile line accepted: {other:?}"),
+    }
+
+    // Same process, next request: a normal submit still completes.
+    let outcome = client::submit(&addr, &tiny_grid(trace_names(1)), true, |_| {}).expect("submit");
+    assert_eq!(outcome.done.expect("streamed").simulated, 2);
     shutdown(&addr);
     daemon.wait().expect("daemon exit");
     let _ = std::fs::remove_dir_all(&dir);

@@ -201,15 +201,21 @@ impl ArrWriter {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a cap a line of `[`s from a
+/// client would overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -232,12 +238,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, which sits `depth` containers deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -316,7 +326,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -325,7 +335,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -338,7 +348,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -351,7 +361,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         out.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -429,6 +439,22 @@ mod tests {
         assert!(parse(r#"{"a" 1}"#).is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at offset {MAX_DEPTH}")
+        );
+        let err = parse(&r#"{"a":"#.repeat(200_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at offset 640");
+        // The cap itself still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 
     #[test]

@@ -14,11 +14,16 @@
 //! keyspaces that force constant eviction, values spanning 1 byte to
 //! larger-than-budget (exercising the bypass path), and per-key
 //! compressibility from incompressible to 32x.
+//!
+//! The replay functions size each distinct key once per replay; a
+//! reference replay that runs the kernel on every fetch pins them to
+//! the same counters.
 
 use base_victim::kvcache::{
-    run_kv, BaseVictimKv, CompressedKv, KvConfig, KvOrgKind, UncompressedKv, ValueMeta,
+    compress_value, run_kv, run_lockstep, BaseVictimKv, CompressedKv, KvConfig, KvOccupancy,
+    KvOrgKind, KvStats, LockstepConfig, UncompressedKv, ValueMeta,
 };
-use base_victim::trace::request::{RequestProfile, SplitMix64};
+use base_victim::trace::request::{KvOp, RequestProfile, RequestStream, SplitMix64};
 
 const BUDGET: u64 = 64 * 1024;
 const OPS_PER_SEED: u64 = 4_000;
@@ -172,5 +177,97 @@ fn preset_profiles_order_the_organizations() {
                 comp.stats.hits()
             );
         }
+    }
+}
+
+/// `run_kv` without the per-replay size table: every miss and put runs
+/// the BDI kernel afresh.
+fn reference_replay(cfg: &KvConfig) -> (KvStats, KvOccupancy) {
+    let mut tier = cfg.org.build(cfg.budget);
+    let profile = &cfg.profile;
+    let mut stream = RequestStream::new(profile.clone(), cfg.seed);
+    for (phase, len) in [cfg.warmup, cfg.requests].into_iter().enumerate() {
+        if phase == 1 {
+            tier.reset_stats();
+        }
+        for req in (&mut stream).take(len as usize) {
+            let fetch = || compress_value(req.key, profile.value_spec(req.key));
+            match req.op {
+                KvOp::Get => {
+                    tier.get(req.key, fetch);
+                }
+                KvOp::Put => tier.put(req.key, fetch),
+            }
+        }
+    }
+    (*tier.stats(), tier.occupancy())
+}
+
+fn reduced(org: KvOrgKind, dist: &str) -> KvConfig {
+    let mut cfg = KvConfig::new(org, RequestProfile::by_name(dist).expect("preset"));
+    cfg.budget = 256 * 1024;
+    cfg.warmup = 1_000;
+    cfg.requests = 4_000;
+    cfg
+}
+
+/// One test per profile below, so the three run in parallel.
+fn assert_run_kv_matches_reference(dist: &str) {
+    for org in KvOrgKind::ALL {
+        let cfg = reduced(org, dist);
+        let run = run_kv(&cfg);
+        let (stats, occupancy) = reference_replay(&cfg);
+        assert_eq!(run.stats, stats, "{dist} {}", org.name());
+        assert_eq!(run.occupancy, occupancy, "{dist} {}", org.name());
+    }
+}
+
+#[test]
+fn run_kv_matches_the_per_fetch_reference_on_web() {
+    assert_run_kv_matches_reference("web");
+}
+
+#[test]
+fn run_kv_matches_the_per_fetch_reference_on_analytics() {
+    assert_run_kv_matches_reference("analytics");
+}
+
+#[test]
+fn run_kv_matches_the_per_fetch_reference_on_social() {
+    assert_run_kv_matches_reference("social");
+}
+
+#[test]
+fn lockstep_matches_the_reference_and_catches_injection() {
+    for dist in RequestProfile::NAMES {
+        let replay = reduced(KvOrgKind::BaseVictim, dist);
+        let mut lock = LockstepConfig {
+            profile: replay.profile,
+            seed: replay.seed,
+            requests: replay.requests,
+            budget: replay.budget,
+            inject_at: None,
+        };
+        let clean = run_lockstep(&lock);
+        assert!(clean.holds(), "{dist}: {:?}", clean.divergence);
+        assert_eq!(clean.ops, lock.requests, "{dist}");
+        let reference = |org| {
+            let mut cfg = reduced(org, dist);
+            cfg.warmup = 0; // lockstep counts from the first request
+            reference_replay(&cfg).0
+        };
+        let bv = reference(KvOrgKind::BaseVictim);
+        assert_eq!(clean.bv_hits, bv.hits(), "{dist}");
+        assert_eq!(clean.victim_hits, bv.victim_hits, "{dist}");
+        assert_eq!(
+            clean.unc_hits,
+            reference(KvOrgKind::Uncompressed).hits(),
+            "{dist}"
+        );
+
+        lock.inject_at = Some(1_500);
+        let injected = run_lockstep(&lock);
+        let div = injected.divergence.expect("injected fault must be caught");
+        assert_eq!(div.op_index, 1_500, "{dist}: {}", div.detail);
     }
 }
