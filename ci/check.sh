@@ -48,6 +48,18 @@ cargo test --workspace -q
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate
 
+echo "== CLI smoke (a bad LLC geometry is a one-line error, not a panic) =="
+GEOM_STATUS=0
+GEOM_ERR=$(./target/release/bvsim --trace specint.mcf.07 --ways 0 2>&1 >/dev/null) \
+    || GEOM_STATUS=$?
+if [[ "$GEOM_STATUS" != 1 || "$(grep -c '^error:' <<<"$GEOM_ERR")" != 1 ]] \
+    || grep -q panicked <<<"$GEOM_ERR"; then
+    echo "CLI smoke: --ways 0 must exit 1 with one error: line and no panic," \
+         "got status $GEOM_STATUS:" >&2
+    echo "$GEOM_ERR" >&2
+    exit 1
+fi
+
 echo "== telemetry smoke (run --telemetry, then report) =="
 ./target/release/bvsim --trace specint.mcf.07 --llc base-victim \
     --warmup 50000 --insts 200000 \

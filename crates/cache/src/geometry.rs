@@ -25,6 +25,10 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
+    /// The widest associativity a cache may have: the per-set validity
+    /// and dirty masks of `SetEngine` and `BasicCache` are one `u64` each.
+    pub const MAX_WAYS: usize = 64;
+
     /// Creates a geometry.
     ///
     /// The associativity need not be a power of two — the paper's 3 MB and
@@ -34,30 +38,52 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the line size is not a power of two, if the size is not an
-    /// exact multiple of `ways * line_bytes`, or if the resulting set count
-    /// is zero or not a power of two.
+    /// Panics with [`CacheGeometry::try_new`]'s message for any geometry
+    /// it rejects.
     #[must_use]
     pub fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> CacheGeometry {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(ways >= 1, "associativity must be at least 1");
-        assert!(
-            size_bytes.is_multiple_of(ways * line_bytes),
-            "cache size {size_bytes} not a multiple of {ways} ways x {line_bytes} B"
-        );
-        let sets = size_bytes / (ways * line_bytes);
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "set count {sets} must be a nonzero power of two"
-        );
-        CacheGeometry {
+        CacheGeometry::try_new(size_bytes, ways, line_bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a geometry, or describes why it cannot be built: the line
+    /// size is not a power of two, the associativity is outside 1 to 64
+    /// (the per-set masks are one `u64`), the size is not an exact
+    /// multiple of `ways * line_bytes`, or the resulting set count is zero
+    /// or not a power of two.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule as a one-line message.
+    pub fn try_new(
+        size_bytes: usize,
+        ways: usize,
+        line_bytes: usize,
+    ) -> Result<CacheGeometry, String> {
+        if !line_bytes.is_power_of_two() {
+            return Err("line size must be a power of two".into());
+        }
+        if ways == 0 {
+            return Err("associativity must be at least 1".into());
+        }
+        if ways > CacheGeometry::MAX_WAYS {
+            let max = CacheGeometry::MAX_WAYS;
+            return Err(format!("associativity {ways} exceeds {max} ways"));
+        }
+        let set_bytes = ways
+            .checked_mul(line_bytes)
+            .filter(|&b| size_bytes.is_multiple_of(b))
+            .ok_or_else(|| {
+                format!("cache size {size_bytes} not a multiple of {ways} ways x {line_bytes} B")
+            })?;
+        let sets = size_bytes / set_bytes;
+        if !sets.is_power_of_two() {
+            return Err(format!("set count {sets} must be a nonzero power of two"));
+        }
+        Ok(CacheGeometry {
             size_bytes,
             ways,
             line_bytes,
-        }
+        })
     }
 
     /// Total capacity in bytes.
@@ -183,6 +209,35 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_sets() {
         let _ = CacheGeometry::new(3 * 64 * 16, 16, 64); // 3 sets
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_panics_on() {
+        assert!(CacheGeometry::try_new(2 * 1024 * 1024, 16, 64).is_ok());
+        assert!(CacheGeometry::try_new(64 * 64 * 4, CacheGeometry::MAX_WAYS, 64).is_ok());
+        for (size, ways, line, want) in [
+            (4096, 4, 48, "line size must be a power of two"),
+            (4096, 0, 64, "associativity must be at least 1"),
+            (128 * 64 * 4, 128, 64, "associativity 128 exceeds 64 ways"),
+            (
+                1000,
+                4,
+                64,
+                "cache size 1000 not a multiple of 4 ways x 64 B",
+            ),
+            (0, 16, 64, "set count 0 must be a nonzero power of two"),
+            (
+                3 * 1024 * 1024,
+                16,
+                64,
+                "set count 3072 must be a nonzero power of two",
+            ),
+        ] {
+            assert_eq!(
+                CacheGeometry::try_new(size, ways, line),
+                Err(want.to_string())
+            );
+        }
     }
 
     #[test]

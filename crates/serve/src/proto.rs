@@ -62,8 +62,9 @@ impl SweepGrid {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unknown LLC or policy name, or
-    /// of an empty dimension.
+    /// Returns a description of the first unknown LLC or policy name, of
+    /// an empty dimension, or of an LLC geometry no cache can be built
+    /// with.
     pub fn plan(&self) -> Result<Vec<JobSpec>, String> {
         if self.traces.is_empty() {
             return Err("sweep grid has no traces".to_string());
@@ -73,7 +74,11 @@ impl SweepGrid {
             let kind = LlcKind::from_name(name).ok_or_else(|| {
                 format!("unknown LLC kind '{name}' (expected {})", LlcKind::NAMES)
             })?;
-            llcs.push(kind);
+            let (mb, ways) = (self.llc_mb, self.ways);
+            let cfg = SimConfig::single_thread(kind)
+                .try_with_llc_size(mb, ways)
+                .map_err(|e| format!("bad LLC geometry (llc_mb {mb}, ways {ways}): {e}"))?;
+            llcs.push(cfg);
         }
         let mut policies = Vec::new();
         for name in &self.policies {
@@ -90,9 +95,7 @@ impl SweepGrid {
         for trace in &self.traces {
             for &llc in &llcs {
                 for &policy in &policies {
-                    let cfg = SimConfig::single_thread(llc)
-                        .with_llc_size(self.llc_mb as usize * 1024 * 1024, self.ways as usize)
-                        .with_policy(policy);
+                    let cfg = llc.with_policy(policy);
                     let job = JobSpec::new(trace.clone(), cfg, self.warmup, self.insts);
                     if seen.insert(job.stable_hash()) {
                         jobs.push(job);

@@ -408,3 +408,51 @@ fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
     daemon.wait().expect("daemon exit");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn bad_llc_geometry_is_rejected_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("geometry");
+    let daemon = start(dir.join("journal"), 1);
+    let addr = daemon.addr().to_string();
+
+    // A zero-way grid used to panic the connection thread while planning,
+    // so the client saw EOF instead of a reply. A 64-way DCC grid passed
+    // planning and panicked the worker instead: DCC keeps two tags per
+    // way, and 128 tags overflow the 64-bit set masks.
+    let zero_ways = SweepGrid {
+        ways: 0,
+        ..tiny_grid(trace_names(1))
+    };
+    let wide_dcc = SweepGrid {
+        llcs: vec!["dcc".into()],
+        ways: 64,
+        ..tiny_grid(trace_names(1))
+    };
+    for (grid, want) in [
+        (
+            zero_ways,
+            "bad LLC geometry (llc_mb 2, ways 0): associativity must be at least 1",
+        ),
+        (
+            wide_dcc,
+            "bad LLC geometry (llc_mb 2, ways 64): dcc keeps 2 tags per way, so at most 32 ways",
+        ),
+    ] {
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        writeln!(conn, "{}", Request::Submit { grid, wait: true }.to_line()).expect("send submit");
+        let mut reply = String::new();
+        BufReader::new(conn)
+            .read_line(&mut reply)
+            .expect("read reply");
+        match Response::parse_line(&reply).expect("reply parses") {
+            Response::Error { error } => assert_eq!(error, want),
+            other => panic!("bad grid accepted: {other:?}"),
+        }
+    }
+
+    let outcome = client::submit(&addr, &tiny_grid(trace_names(1)), true, |_| {}).expect("submit");
+    assert_eq!(outcome.done.expect("streamed").simulated, 2);
+    shutdown(&addr);
+    daemon.wait().expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -198,6 +198,17 @@ impl LlcKind {
         }
     }
 
+    /// Tags each physical way holds: the two-tag organizations, VSC-2X
+    /// and DCC track two lines per way, so their per-set masks cover
+    /// twice the associativity.
+    #[must_use]
+    pub fn tags_per_way(self) -> usize {
+        match self {
+            LlcKind::TwoTag | LlcKind::TwoTagEcm | LlcKind::Vsc | LlcKind::Dcc => 2,
+            _ => 1,
+        }
+    }
+
     /// Instantiates the organization.
     #[must_use]
     pub fn build(self, geom: CacheGeometry, policy: PolicyKind) -> Box<dyn LlcOrganization> {
@@ -240,11 +251,11 @@ impl LlcKind {
         policy: PolicyKind,
         sink: RingSink,
     ) -> Box<dyn LlcOrganization> {
-        let (sets, ways) = (geom.sets(), geom.ways());
+        let (sets, logical) = (geom.sets(), geom.ways() * self.tags_per_way());
         let bv = |vp, mode, comp: Box<dyn Compressor>, sink| {
             Box::new(BaseVictimLlc::with_sink(
                 geom,
-                policy.instantiate(sets, ways),
+                policy.instantiate(sets, logical),
                 vp,
                 mode,
                 comp,
@@ -255,17 +266,17 @@ impl LlcKind {
         match self {
             LlcKind::Uncompressed => Box::new(UncompressedLlc::with_sink(
                 geom,
-                policy.instantiate(sets, ways),
+                policy.instantiate(sets, logical),
                 sink,
             )),
             LlcKind::TwoTag => Box::new(TwoTagLlc::with_sink(
                 geom,
-                policy.instantiate(sets, ways * 2),
+                policy.instantiate(sets, logical),
                 sink,
             )),
             LlcKind::TwoTagEcm => Box::new(TwoTagEcmLlc::with_sink(
                 geom,
-                policy.instantiate(sets, ways * 2),
+                policy.instantiate(sets, logical),
                 sink,
             )),
             LlcKind::BaseVictim => bv(
@@ -288,12 +299,12 @@ impl LlcKind {
             }
             LlcKind::Vsc => Box::new(VscLlc::with_sink(
                 geom,
-                policy.instantiate(sets, ways * 2),
+                policy.instantiate(sets, logical),
                 sink,
             )),
             LlcKind::Dcc => Box::new(DccLlc::with_sink(
                 geom,
-                policy.instantiate(sets, ways * 2),
+                policy.instantiate(sets, logical),
                 sink,
             )),
         }
@@ -366,6 +377,33 @@ impl SimConfig {
         self
     }
 
+    /// [`SimConfig::with_llc_size`] for an `mb` MiB, `ways`-way LLC, or a
+    /// one-line reason no cache of this organization can have that
+    /// shape: the capacity overflows, [`CacheGeometry::try_new`] rejects
+    /// it, or the organization's tags per way exceed
+    /// [`CacheGeometry::MAX_WAYS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule.
+    pub fn try_with_llc_size(self, mb: u64, ways: u64) -> Result<SimConfig, String> {
+        let bytes = usize::try_from(mb)
+            .ok()
+            .and_then(|mb| mb.checked_mul(1024 * 1024))
+            .ok_or("capacity overflows")?;
+        let ways = usize::try_from(ways).unwrap_or(usize::MAX);
+        CacheGeometry::try_new(bytes, ways, 64)?;
+        let tags = self.llc_kind.tags_per_way();
+        let max = CacheGeometry::MAX_WAYS / tags;
+        if ways > max {
+            let kind = self.llc_kind.name();
+            return Err(format!(
+                "{kind} keeps {tags} tags per way, so at most {max} ways"
+            ));
+        }
+        Ok(self.with_llc_size(bytes, ways))
+    }
+
     /// Replaces the LLC replacement policy.
     #[must_use]
     pub fn with_policy(mut self, policy: PolicyKind) -> SimConfig {
@@ -406,6 +444,58 @@ mod tests {
         let same =
             SimConfig::single_thread(LlcKind::Uncompressed).with_llc_size(2 * 1024 * 1024, 32);
         assert_eq!(same.extra_llc_latency, 0);
+    }
+
+    #[test]
+    fn try_with_llc_size_rejects_what_would_panic() {
+        let two_tag = SimConfig::single_thread(LlcKind::TwoTag);
+        let cfg = two_tag.try_with_llc_size(3, 24).expect("3 MB 24-way");
+        assert_eq!((cfg.llc.size_bytes(), cfg.llc.ways()), (3 << 20, 24));
+        assert_eq!(cfg.extra_llc_latency, 1);
+        assert!(SimConfig::single_thread(LlcKind::BaseVictim)
+            .try_with_llc_size(4, 64)
+            .is_ok());
+        assert!(two_tag.try_with_llc_size(2, 32).is_ok());
+        for (kind, mb, ways, want) in [
+            (
+                LlcKind::Uncompressed,
+                2,
+                0,
+                "associativity must be at least 1",
+            ),
+            (LlcKind::Uncompressed, 1 << 44, 16, "capacity overflows"),
+            (
+                LlcKind::TwoTag,
+                4,
+                64,
+                "two-tag keeps 2 tags per way, so at most 32 ways",
+            ),
+            (
+                LlcKind::TwoTagEcm,
+                4,
+                64,
+                "two-tag-ecm keeps 2 tags per way, so at most 32 ways",
+            ),
+            (
+                LlcKind::Vsc,
+                3,
+                48,
+                "vsc-2x keeps 2 tags per way, so at most 32 ways",
+            ),
+            (
+                LlcKind::Dcc,
+                4,
+                64,
+                "dcc keeps 2 tags per way, so at most 32 ways",
+            ),
+        ] {
+            let got = SimConfig::single_thread(kind).try_with_llc_size(mb, ways);
+            assert_eq!(
+                got.err().as_deref(),
+                Some(want),
+                "{kind:?} {mb} MB {ways}-way"
+            );
+        }
     }
 
     #[test]

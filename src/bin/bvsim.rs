@@ -48,39 +48,55 @@ use base_victim::serve::{
 };
 use base_victim::sim::SimTelemetry;
 use base_victim::trace::request::RequestProfile;
-use base_victim::{CacheGeometry, LlcKind, SimConfig, System, TraceRegistry};
+use base_victim::{CacheGeometry, LlcKind, SimConfig, System, TraceRegistry, TraceSpec};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match cli::parse(&argv) {
-        Ok(Command::Help) => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Ok(Command::ListTraces) => {
-            list_traces();
-            ExitCode::SUCCESS
-        }
-        Ok(Command::Run(run)) => run_one(&run),
-        Ok(Command::Sweep(sweep)) => run_sweep(&sweep),
-        Ok(Command::Bench(bench)) => run_bench(&bench),
-        Ok(Command::Report(path)) => run_report(&path),
-        Ok(Command::Trace(trace)) => run_trace(&trace),
-        Ok(Command::Kv(kv)) => run_kv(&kv),
-        Ok(Command::Fuzz(fuzz)) => run_fuzz(&fuzz),
-        Ok(Command::Serve(serve)) => run_serve(&serve),
-        Ok(Command::Submit(submit)) => run_submit(&submit),
-        Ok(Command::Watch(watch)) => run_watch(&watch),
-        Ok(Command::Ctl(ctl)) => run_ctl(&ctl),
-        Ok(Command::Top(top)) => run_top(&top),
+    let cmd = match cli::parse(&argv) {
+        Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    // Every subcommand reports a failure it cannot go on from as an
+    // `Err` message, printed here; verdicts (an audit that diverged, a
+    // fuzz case that failed) are exit codes.
+    let outcome = match cmd {
+        Command::Help => {
+            print!("{USAGE}");
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::ListTraces => {
+            list_traces();
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::Run(run) => run_one(&run),
+        Command::Sweep(sweep) => run_sweep(&sweep),
+        Command::Bench(bench) => run_bench(&bench),
+        Command::Report(path) => run_report(&path),
+        Command::Trace(trace) => run_trace(&trace),
+        Command::Kv(kv) => run_kv(&kv),
+        Command::Fuzz(fuzz) => run_fuzz(&fuzz),
+        Command::Serve(serve) => run_serve(&serve),
+        Command::Submit(submit) => run_submit(&submit),
+        Command::Watch(watch) => run_watch(&watch),
+        Command::Ctl(ctl) => run_ctl(&ctl),
+        Command::Top(top) => run_top(&top),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Writes `text` to `path`; `what` (e.g. `"telemetry "`) precedes the path
+/// in the error.
+fn write_file(path: &Path, text: &str, what: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {what}{}: {e}", path.display()))
 }
 
 fn list_traces() {
@@ -101,19 +117,17 @@ fn list_traces() {
     }
 }
 
-fn run_one(args: &RunArgs) -> ExitCode {
-    let registry = TraceRegistry::paper_default();
-    let Some(trace) = registry.get(&args.trace) else {
-        eprintln!(
-            "error: trace '{}' not in the registry (try --list-traces)",
-            args.trace
-        );
-        return ExitCode::FAILURE;
-    };
+/// Looks a trace up in the paper's registry.
+fn registry_trace(name: &str) -> Result<TraceSpec, String> {
+    TraceRegistry::paper_default()
+        .get(name)
+        .cloned()
+        .ok_or_else(|| format!("trace '{name}' not in the registry (try --list-traces)"))
+}
 
-    let cfg = SimConfig::single_thread(args.llc)
-        .with_llc_size(args.llc_mb * 1024 * 1024, args.ways)
-        .with_policy(args.policy);
+fn run_one(args: &RunArgs) -> Result<ExitCode, String> {
+    let trace = registry_trace(&args.trace)?;
+    let cfg = args.sim_config()?;
     println!(
         "trace {} | LLC {} {} MB {}-way, {} policy | warmup {} + measure {} instructions",
         trace.name,
@@ -134,10 +148,7 @@ fn run_one(args: &RunArgs) -> ExitCode {
                 .with_meta("policy", args.policy.name());
             let run = system.run_sampled(&trace.workload, args.warmup, args.insts, &mut tel);
             let report = tel.into_report();
-            if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-                eprintln!("error: cannot write telemetry {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            write_file(path, &report.to_jsonl(), "telemetry ")?;
             println!(
                 "telemetry           : {} epochs of {} insts -> {}",
                 report.series.rows(),
@@ -171,9 +182,10 @@ fn run_one(args: &RunArgs) -> ExitCode {
     println!("level mix (L1/L2/LLCb/LLCv/mem): {:?}", run.level_hits);
 
     if args.compare {
-        let base_cfg = SimConfig::single_thread(LlcKind::Uncompressed)
-            .with_llc_size(args.llc_mb * 1024 * 1024, args.ways)
-            .with_policy(args.policy);
+        let base_cfg = SimConfig {
+            llc_kind: LlcKind::Uncompressed,
+            ..cfg
+        };
         let base = System::new(base_cfg).run_with_warmup(&trace.workload, args.warmup, args.insts);
         println!("\n=== vs uncompressed baseline ===");
         println!(
@@ -188,29 +200,21 @@ fn run_one(args: &RunArgs) -> ExitCode {
             base.dram.reads
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_sweep(args: &SweepArgs) -> ExitCode {
+fn run_sweep(args: &SweepArgs) -> Result<ExitCode, String> {
     let workers = args
         .jobs
         .unwrap_or_else(base_victim::runner::pool::default_workers);
-    let runner =
-        match base_victim::runner::Runner::new(workers).with_journal(&args.journal, args.resume) {
-            Ok(r) => r.with_progress(true),
-            Err(e) => {
-                eprintln!("error: cannot open journal {}: {e}", args.journal.display());
-                return ExitCode::FAILURE;
-            }
-        };
+    let runner = base_victim::runner::Runner::new(workers)
+        .with_journal(&args.journal, args.resume)
+        .map_err(|e| format!("cannot open journal {}: {e}", args.journal.display()))?
+        .with_progress(true);
     let runner = match &args.telemetry_dir {
-        Some(dir) => match runner.with_telemetry(dir, args.epoch) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: cannot create telemetry dir {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(dir) => runner
+            .with_telemetry(dir, args.epoch)
+            .map_err(|e| format!("cannot create telemetry dir {}: {e}", dir.display()))?,
         None => runner,
     };
     let runner = if args.spans.is_some() {
@@ -254,11 +258,11 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
     }
     if let Some(path) = &args.spans {
         let spans = ctx.runner.take_spans();
-        let text = base_victim::runner::chrome_trace_json(&spans);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write spans {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(
+            path,
+            &base_victim::runner::chrome_trace_json(&spans),
+            "spans ",
+        )?;
         println!(
             "sweep: {} -> {} (load in Perfetto or chrome://tracing)",
             base_victim::runner::utilization_summary(&spans),
@@ -272,49 +276,26 @@ fn run_sweep(args: &SweepArgs) -> ExitCode {
             args.journal.display()
         );
         // The conventional exit status for death-by-SIGINT.
-        return ExitCode::from(130);
+        return Ok(ExitCode::from(130));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_report(path: &Path) -> ExitCode {
-    match base_victim::load_report(path) {
-        Ok(report) => {
-            print!("{}", base_victim::telemetry::render(&report));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn run_report(path: &Path) -> Result<ExitCode, String> {
+    let report = base_victim::load_report(path)?;
+    print!("{}", base_victim::telemetry::render(&report));
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_trace(args: &TraceArgs) -> ExitCode {
+fn run_trace(args: &TraceArgs) -> Result<ExitCode, String> {
     if args.audit {
-        return run_audit(args);
+        return Ok(run_audit(args));
     }
-    let registry = TraceRegistry::paper_default();
-    let Some(trace) = registry.get(&args.trace) else {
-        eprintln!(
-            "error: trace '{}' not in the registry (try --list-traces)",
-            args.trace
-        );
-        return ExitCode::FAILURE;
-    };
-
-    let cfg = SimConfig::single_thread(args.llc)
-        .with_llc_size(args.llc_mb * 1024 * 1024, args.ways)
-        .with_policy(args.policy);
+    let trace = registry_trace(&args.trace)?;
+    let cfg = args.sim_config()?;
     let mut filter = EventFilter::all();
     if let Some(kinds) = &args.kinds {
-        filter = match filter.with_kind_names(kinds) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        filter = filter.with_kind_names(kinds)?;
     }
     // CLI ranges are inclusive; the filter is half-open.
     if let Some((lo, hi)) = args.sets {
@@ -360,13 +341,10 @@ fn run_trace(args: &TraceArgs) -> ExitCode {
         meta.insert("llc".to_string(), args.llc.name().to_string());
         meta.insert("policy".to_string(), args.policy.name().to_string());
         let text = base_victim::telemetry::write_events(&events, dropped, &meta);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &text, "")?;
         println!("events -> {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Per-kind event counts, most frequent first.
@@ -456,12 +434,12 @@ fn run_audit(args: &TraceArgs) -> ExitCode {
     }
 }
 
-fn run_kv(args: &KvArgs) -> ExitCode {
+fn run_kv(args: &KvArgs) -> Result<ExitCode, String> {
     if args.lockstep {
-        return run_kv_lockstep(args);
+        return Ok(run_kv_lockstep(args));
     }
     if args.sweep {
-        return run_kv_sweep(args);
+        return Ok(run_kv_sweep(args));
     }
     let profile = RequestProfile::by_name(&args.dist).expect("dist validated at parse time");
     let mut cfg = KvConfig::new(args.org, profile);
@@ -480,7 +458,7 @@ fn run_kv(args: &KvArgs) -> ExitCode {
             cfg.org = org;
             print_kv_row(&kv_replay(&cfg));
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     println!(
@@ -498,10 +476,7 @@ fn run_kv(args: &KvArgs) -> ExitCode {
             .with_meta("dist", &args.dist);
         let result = run_kv_sampled(&cfg, &mut tel);
         let report = tel.into_report();
-        if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-            eprintln!("error: cannot write telemetry {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &report.to_jsonl(), "telemetry ")?;
         println!(
             "telemetry           : {} epochs of {} requests -> {}",
             report.series.rows(),
@@ -521,10 +496,7 @@ fn run_kv(args: &KvArgs) -> ExitCode {
         meta.insert("kv-org".to_string(), args.org.name().to_string());
         meta.insert("kv-dist".to_string(), args.dist.clone());
         let text = base_victim::telemetry::write_events(&events, dropped, &meta);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        write_file(path, &text, "")?;
         println!("events -> {}", path.display());
         result
     } else {
@@ -560,7 +532,7 @@ fn run_kv(args: &KvArgs) -> ExitCode {
         "compression         : {:.0}% of uncompressed (mean over admissions)",
         s.compression_ratio() * 100.0
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_kv_header() {
@@ -701,7 +673,7 @@ fn vs_baseline(ratio: Option<f64>) -> String {
     }
 }
 
-fn run_bench(args: &BenchArgs) -> ExitCode {
+fn run_bench(args: &BenchArgs) -> Result<ExitCode, String> {
     let cfg = if args.quick {
         perf::BenchConfig::quick()
     } else {
@@ -710,19 +682,13 @@ fn run_bench(args: &BenchArgs) -> ExitCode {
     // Load the baseline up front so every row prints with its
     // speedup-vs-baseline column, not just a raw rate.
     let baseline = match &args.baseline {
-        Some(baseline_path) => match std::fs::read_to_string(baseline_path) {
-            Ok(t) => match perf::BenchReport::from_json(&t) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("error: bad baseline {}: {e}", baseline_path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            let report = perf::BenchReport::from_json(&text)
+                .map_err(|e| format!("bad baseline {}: {e}", path.display()))?;
+            Some(report)
+        }
         None => None,
     };
     println!(
@@ -785,10 +751,7 @@ fn run_bench(args: &BenchArgs) -> ExitCode {
 
     let mut text = report.to_json();
     text.push('\n');
-    if let Err(e) = std::fs::write(&args.out, &text) {
-        eprintln!("error: cannot write {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
+    write_file(&args.out, &text, "")?;
     println!("\nbench: report written to {}", args.out.display());
 
     if let Some(baseline) = &baseline {
@@ -804,47 +767,43 @@ fn run_bench(args: &BenchArgs) -> ExitCode {
             for r in &regressions {
                 eprintln!("regression: {r}");
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Op-count bound a minimized `--inject` reproducer must meet: larger
 /// means the shrinker regressed.
 const FUZZ_INJECT_BOUND: u64 = 64;
 
-fn run_fuzz(args: &FuzzArgs) -> ExitCode {
+fn run_fuzz(args: &FuzzArgs) -> Result<ExitCode, String> {
     if let Some(path) = &args.replay {
         return run_fuzz_replay(args, path);
     }
     if args.inject {
-        return run_fuzz_inject(args);
+        return Ok(run_fuzz_inject(args));
     }
     run_fuzz_campaign(args)
 }
 
 /// Writes the reproducer to `--out` when given, else prints its JSON so
 /// it can be piped straight into a `tests/corpus/` file.
-fn emit_reproducer(out: Option<&Path>, case: &bvfuzz::FuzzCase) -> ExitCode {
+fn emit_reproducer(out: Option<&Path>, case: &bvfuzz::FuzzCase) -> Result<(), String> {
     match out {
         Some(path) => {
-            if let Err(e) = bvfuzz::save(path, case) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+            bvfuzz::save(path, case)?;
             println!("reproducer          : {}", path.display());
-            ExitCode::SUCCESS
         }
         None => {
             println!("reproducer ({} ops):", case.op_count());
             println!("{}", bvfuzz::to_json(case));
-            ExitCode::SUCCESS
         }
     }
+    Ok(())
 }
 
-fn run_fuzz_campaign(args: &FuzzArgs) -> ExitCode {
+fn run_fuzz_campaign(args: &FuzzArgs) -> Result<ExitCode, String> {
     let cfg = bvfuzz::FuzzConfig {
         cases: args.cases,
         seed: args.seed,
@@ -868,7 +827,7 @@ fn run_fuzz_campaign(args: &FuzzArgs) -> ExitCode {
     match &report.failure {
         None => {
             println!("all {} case(s) passed", report.cases_run);
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some(f) => {
             eprintln!(
@@ -885,8 +844,8 @@ fn run_fuzz_campaign(args: &FuzzArgs) -> ExitCode {
                     s.accepted
                 );
             }
-            emit_reproducer(args.out.as_deref(), minimized);
-            ExitCode::FAILURE
+            emit_reproducer(args.out.as_deref(), minimized)?;
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -921,7 +880,8 @@ fn run_fuzz_inject(args: &FuzzArgs) -> ExitCode {
                     } else {
                         out.with_extension(format!("{}.{}", r.domain.name(), bvfuzz::EXTENSION))
                     };
-                    if emit_reproducer(Some(&path), &s.case) == ExitCode::FAILURE {
+                    if let Err(e) = emit_reproducer(Some(&path), &s.case) {
+                        eprintln!("error: {e}");
                         ok = false;
                     }
                 }
@@ -945,14 +905,8 @@ fn run_fuzz_inject(args: &FuzzArgs) -> ExitCode {
     }
 }
 
-fn run_fuzz_replay(args: &FuzzArgs, path: &Path) -> ExitCode {
-    let case = match bvfuzz::load(path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_fuzz_replay(args: &FuzzArgs, path: &Path) -> Result<ExitCode, String> {
+    let case = bvfuzz::load(path)?;
     println!(
         "fuzz replay {} | {} case, {} ops{}",
         path.display(),
@@ -971,7 +925,7 @@ fn run_fuzz_replay(args: &FuzzArgs, path: &Path) -> ExitCode {
                     ""
                 }
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(f) => {
             eprintln!("FAIL {}: {}", f.property, f.detail);
@@ -984,9 +938,9 @@ fn run_fuzz_replay(args: &FuzzArgs, path: &Path) -> ExitCode {
                     out.attempts,
                     out.accepted
                 );
-                emit_reproducer(args.out.as_deref(), &out.case);
+                emit_reproducer(args.out.as_deref(), &out.case)?;
             }
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -1037,11 +991,11 @@ mod sigint {
     }
 }
 
-fn run_serve(args: &ServeArgs) -> ExitCode {
+fn run_serve(args: &ServeArgs) -> Result<ExitCode, String> {
     let workers = args
         .workers
         .unwrap_or_else(base_victim::runner::pool::default_workers);
-    let daemon = match Daemon::start(ServeConfig {
+    let daemon = Daemon::start(ServeConfig {
         addr: args.addr.clone(),
         workers,
         journal: args.journal.clone(),
@@ -1051,13 +1005,8 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
         spans: args.spans.clone(),
         metrics: args.metrics,
         metrics_port: args.metrics_port,
-    }) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: cannot start daemon on {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
+    })
+    .map_err(|e| format!("cannot start daemon on {}: {e}", args.addr))?;
     println!(
         "serve: listening on {} | {} worker(s), journal {}, job timeout {}s, {} retries",
         daemon.addr(),
@@ -1074,19 +1023,14 @@ fn run_serve(args: &ServeArgs) -> ExitCode {
          `bvsim ctl --addr {0} --shutdown`",
         daemon.addr()
     );
-    match daemon.wait() {
-        Ok(summary) => {
-            if let (Some(summary), Some(path)) = (summary, &args.spans) {
-                println!("serve: {summary} -> {}", path.display());
-            }
-            println!("serve: drained and stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: span export failed: {e}");
-            ExitCode::FAILURE
-        }
+    let summary = daemon
+        .wait()
+        .map_err(|e| format!("span export failed: {e}"))?;
+    if let (Some(summary), Some(path)) = (summary, &args.spans) {
+        println!("serve: {summary} -> {}", path.display());
     }
+    println!("serve: drained and stopped");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Prints each streamed result row and optionally appends it to an
@@ -1166,22 +1110,15 @@ fn print_done(done: &DoneSummary) {
 }
 
 /// Drains the sink; on success reports the `--out` row count.
-fn close_sink(sink: RowSink, out: Option<&Path>) -> ExitCode {
-    match sink.finish() {
-        Ok(rows) => {
-            if let Some(out) = out {
-                println!("{rows} row(s) -> {}", out.display());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+fn close_sink(sink: RowSink, out: Option<&Path>) -> Result<(), String> {
+    let rows = sink.finish()?;
+    if let Some(out) = out {
+        println!("{rows} row(s) -> {}", out.display());
     }
+    Ok(())
 }
 
-fn run_submit(args: &SubmitArgs) -> ExitCode {
+fn run_submit(args: &SubmitArgs) -> Result<ExitCode, String> {
     let grid = SweepGrid {
         traces: args.traces.clone(),
         llcs: args.llcs.clone(),
@@ -1191,20 +1128,8 @@ fn run_submit(args: &SubmitArgs) -> ExitCode {
         warmup: args.warmup,
         insts: args.insts,
     };
-    let mut sink = match RowSink::open(args.out.as_deref()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match client::submit(&args.addr, &grid, !args.no_wait, |row| sink.push(row)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut sink = RowSink::open(args.out.as_deref())?;
+    let outcome = client::submit(&args.addr, &grid, !args.no_wait, |row| sink.push(row))?;
     println!(
         "submit: ticket {} | {} job(s): {} fresh, {} journaled, {} merged",
         outcome.ticket, outcome.jobs, outcome.fresh, outcome.journaled, outcome.merged
@@ -1216,50 +1141,34 @@ fn run_submit(args: &SubmitArgs) -> ExitCode {
             args.addr, outcome.ticket
         ),
     }
-    if close_sink(sink, args.out.as_deref()) == ExitCode::FAILURE {
-        return ExitCode::FAILURE;
-    }
-    match &outcome.done {
+    close_sink(sink, args.out.as_deref())?;
+    Ok(match &outcome.done {
         Some(done) if done.failed > 0 || done.canceled => ExitCode::FAILURE,
         _ => ExitCode::SUCCESS,
-    }
+    })
 }
 
-fn run_watch(args: &WatchArgs) -> ExitCode {
-    let mut sink = match RowSink::open(args.out.as_deref()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let done = match client::watch(&args.addr, args.ticket, |row| sink.push(row)) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_watch(args: &WatchArgs) -> Result<ExitCode, String> {
+    let mut sink = RowSink::open(args.out.as_deref())?;
+    let done = client::watch(&args.addr, args.ticket, |row| sink.push(row))?;
     print_done(&done);
-    if close_sink(sink, args.out.as_deref()) == ExitCode::FAILURE {
-        return ExitCode::FAILURE;
-    }
-    if done.failed > 0 {
+    close_sink(sink, args.out.as_deref())?;
+    Ok(if done.failed > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn run_ctl(args: &CtlArgs) -> ExitCode {
+fn run_ctl(args: &CtlArgs) -> Result<ExitCode, String> {
     let req = match &args.action {
         CtlAction::Status => Request::Status,
         CtlAction::Cancel(ticket) => Request::Cancel { ticket: *ticket },
         CtlAction::KillWorker(worker) => Request::KillWorker { worker: *worker },
         CtlAction::Shutdown => Request::Shutdown,
     };
-    match client::control(&args.addr, &req) {
-        Ok(Response::Status(s)) => {
+    match client::control(&args.addr, &req)? {
+        Response::Status(s) => {
             println!(
                 "workers             : {} started, {} alive",
                 s.workers, s.alive
@@ -1279,48 +1188,32 @@ fn run_ctl(args: &CtlArgs) -> ExitCode {
             );
             let per: Vec<String> = s.per_worker_done.iter().map(u64::to_string).collect();
             println!("per-worker done     : [{}]", per.join(", "));
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(Response::Ok { info }) => {
+        Response::Ok { info } => {
             println!("ok: {info}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(Response::Error { error }) => {
-            eprintln!("error: {error}");
-            ExitCode::FAILURE
-        }
-        Ok(other) => {
-            eprintln!("error: unexpected reply: {other:?}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Response::Error { error } => Err(error),
+        other => Err(format!("unexpected reply: {other:?}")),
     }
 }
 
 /// The live dashboard: polls the daemon's `metrics` snapshot every
 /// interval and redraws the frame in place. `--once` prints a single
 /// frame without clearing the screen (for scripts and smoke tests).
-fn run_top(args: &TopArgs) -> ExitCode {
+fn run_top(args: &TopArgs) -> Result<ExitCode, String> {
     let mut view = TopView::new();
     let interval = std::time::Duration::from_millis(args.interval_ms);
     let mut last = std::time::Instant::now();
     loop {
-        let snap = match client::metrics(&args.addr) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let snap = client::metrics(&args.addr)?;
         let elapsed = last.elapsed().as_secs_f64();
         last = std::time::Instant::now();
         let frame = view.frame(&snap, elapsed, &args.addr);
         if args.once {
             print!("{frame}");
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         // Clear + home, then the frame; the daemon going away ends the
         // loop through the connect error above.

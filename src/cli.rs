@@ -4,8 +4,12 @@
 
 use bv_cache::PolicyKind;
 use bv_kvcache::KvOrgKind;
-use bv_sim::LlcKind;
+use bv_sim::{LlcKind, SimConfig};
+use bv_trace::request::RequestProfile;
+use std::fmt::Display;
+use std::ops::Deref;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The `bvsim` usage text.
 pub const USAGE: &str = "\
@@ -42,7 +46,11 @@ OPTIONS:
     --policy <name>     lru | nru | srrip | char | camp | random
                         (default: nru, as in the paper)
     --llc-mb <n>        LLC capacity in MB (default: 2)
-    --ways <n>          LLC associativity (default: 16)
+    --ways <n>          LLC associativity, 1 to 64, at most 32 for
+                        two-tag, two-tag-ecm, vsc and dcc, which keep two
+                        tags per way (default: 16); the capacity over
+                        ways x 64 B lines must be a power-of-two set
+                        count (3 MB needs 24 ways, not 16)
     --warmup <n>        warmup instructions (default: 1000000)
     --insts <n>         measured instructions (default: 1500000)
     --compare           also run the uncompressed baseline and print ratios
@@ -243,11 +251,11 @@ pub const KV_ORGS: &str = "uncompressed, compressed, base-victim";
 /// The kv `--dist` values `kv` accepts, for error messages.
 pub const KV_DISTS: &str = "web, analytics, social";
 
-/// Arguments for a single-trace simulation.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RunArgs {
-    /// Registry trace name.
-    pub trace: String,
+/// The LLC flags a plain run and `trace` share: organization,
+/// replacement policy, geometry and warmup. [`RunArgs`] and
+/// [`TraceArgs`] deref to it, so these read as their own fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LlcArgs {
     /// LLC organization.
     pub llc: LlcKind,
     /// Baseline replacement policy.
@@ -258,6 +266,53 @@ pub struct RunArgs {
     pub ways: usize,
     /// Warmup instructions.
     pub warmup: u64,
+}
+
+impl Default for LlcArgs {
+    fn default() -> LlcArgs {
+        LlcArgs {
+            llc: LlcKind::BaseVictim,
+            policy: PolicyKind::Nru,
+            llc_mb: 2,
+            ways: 16,
+            warmup: 1_000_000,
+        }
+    }
+}
+
+impl LlcArgs {
+    /// The single-core configuration these flags select.
+    ///
+    /// # Errors
+    ///
+    /// Returns the `bad LLC geometry` error [`parse`] reports for an
+    /// `--llc-mb`/`--ways` pair this `--llc` cannot have.
+    pub fn sim_config(&self) -> Result<SimConfig, String> {
+        Ok(llc_config(self.llc, self.llc_mb as u64, self.ways as u64)?.with_policy(self.policy))
+    }
+
+    /// The shared LLC flag table: parses `f` when it holds one of these
+    /// flags.
+    fn flag(&mut self, f: &mut Flags) -> Result<bool, Stop> {
+        match f.flag {
+            "--llc" => self.llc = lookup(&f.value()?, parse_llc, "LLC kind", LLC_KINDS)?,
+            "--policy" => self.policy = lookup(&f.value()?, parse_policy, "policy", POLICY_NAMES)?,
+            "--llc-mb" => self.llc_mb = f.num()?,
+            "--ways" => self.ways = f.num()?,
+            "--warmup" => self.warmup = f.num()?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Arguments for a single-trace simulation.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RunArgs {
+    /// Registry trace name.
+    pub trace: String,
+    /// LLC organization, policy, geometry and warmup.
+    pub cache: LlcArgs,
     /// Measured instructions.
     pub insts: u64,
     /// Also run the uncompressed baseline and print ratios.
@@ -272,16 +327,20 @@ impl Default for RunArgs {
     fn default() -> RunArgs {
         RunArgs {
             trace: String::new(),
-            llc: LlcKind::BaseVictim,
-            policy: PolicyKind::Nru,
-            llc_mb: 2,
-            ways: 16,
-            warmup: 1_000_000,
+            cache: LlcArgs::default(),
             insts: 1_500_000,
             compare: false,
             telemetry: None,
             epoch: bv_sim::DEFAULT_EPOCH_INSTS,
         }
+    }
+}
+
+impl Deref for RunArgs {
+    type Target = LlcArgs;
+
+    fn deref(&self) -> &LlcArgs {
+        &self.cache
     }
 }
 
@@ -321,16 +380,9 @@ impl Default for SweepArgs {
 pub struct TraceArgs {
     /// Registry trace name (empty in `--audit` mode).
     pub trace: String,
-    /// LLC organization to trace.
-    pub llc: LlcKind,
-    /// Baseline replacement policy.
-    pub policy: PolicyKind,
-    /// LLC capacity in megabytes.
-    pub llc_mb: usize,
-    /// LLC associativity.
-    pub ways: usize,
-    /// Warmup instructions (events are not captured during warmup).
-    pub warmup: u64,
+    /// LLC organization, policy, geometry and warmup (events are not
+    /// captured during warmup).
+    pub cache: LlcArgs,
     /// Measured (captured) instructions.
     pub budget: u64,
     /// Write the capture as `bvsim-events-v1` JSONL here, if set.
@@ -363,11 +415,7 @@ impl Default for TraceArgs {
     fn default() -> TraceArgs {
         TraceArgs {
             trace: String::new(),
-            llc: LlcKind::BaseVictim,
-            policy: PolicyKind::Nru,
-            llc_mb: 2,
-            ways: 16,
-            warmup: 1_000_000,
+            cache: LlcArgs::default(),
             budget: 1_500_000,
             out: None,
             kinds: None,
@@ -381,6 +429,14 @@ impl Default for TraceArgs {
             context: 8,
             inject: None,
         }
+    }
+}
+
+impl Deref for TraceArgs {
+    type Target = LlcArgs;
+
+    fn deref(&self) -> &LlcArgs {
+        &self.cache
     }
 }
 
@@ -663,244 +719,256 @@ pub fn parse_policy(s: &str) -> Option<PolicyKind> {
 /// Returns a human-readable message for unknown flags, missing values,
 /// or unparsable numbers; the caller prints it alongside [`USAGE`].
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    if args.first().map(String::as_str) == Some("sweep") {
-        return parse_sweep(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return parse_bench(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return parse_report(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        return parse_trace(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("kv") {
-        return parse_kv(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return parse_fuzz(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return parse_serve(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("submit") {
-        return parse_submit(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("watch") {
-        return parse_watch(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("ctl") {
-        return parse_ctl(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        return parse_top(&args[1..]);
-    }
-    let mut run = RunArgs::default();
-    let mut trace = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--trace" => trace = Some(value("--trace")?),
-            "--list-traces" => return Ok(Command::ListTraces),
-            "--llc" => {
-                let v = value("--llc")?;
-                run.llc = parse_llc(&v)
-                    .ok_or_else(|| format!("unknown LLC kind '{v}' (valid: {LLC_KINDS})"))?;
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                run.policy = parse_policy(&v)
-                    .ok_or_else(|| format!("unknown policy '{v}' (valid: {POLICY_NAMES})"))?;
-            }
-            "--llc-mb" => {
-                run.llc_mb = value("--llc-mb")?
-                    .parse()
-                    .map_err(|e| format!("--llc-mb: {e}"))?;
-            }
-            "--ways" => {
-                run.ways = value("--ways")?
-                    .parse()
-                    .map_err(|e| format!("--ways: {e}"))?;
-            }
-            "--warmup" => {
-                run.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--insts" => {
-                run.insts = value("--insts")?
-                    .parse()
-                    .map_err(|e| format!("--insts: {e}"))?;
-            }
-            "--compare" => run.compare = true,
-            "--telemetry" => run.telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--epoch" => run.epoch = parse_epoch(&value("--epoch")?)?,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    match trace {
-        Some(t) => {
-            run.trace = t;
-            Ok(Command::Run(run))
-        }
-        None => Err("--trace <name> or --list-traces required".into()),
+    let rest = args.get(1..).unwrap_or_default();
+    let parsed = match args.first().map(String::as_str) {
+        Some("sweep") => parse_sweep(rest),
+        Some("bench") => parse_bench(rest),
+        Some("report") => parse_report(rest),
+        Some("trace") => parse_trace(rest),
+        Some("kv") => parse_kv(rest),
+        Some("fuzz") => parse_fuzz(rest),
+        Some("serve") => parse_serve(rest),
+        Some("submit") => parse_submit(rest),
+        Some("watch") => parse_watch(rest),
+        Some("ctl") => parse_ctl(rest),
+        Some("top") => parse_top(rest),
+        _ => parse_run(args),
+    };
+    match parsed {
+        Ok(cmd) => Ok(cmd),
+        Err(Stop::Help) => Ok(Command::Help),
+        Err(Stop::ListTraces) => Ok(Command::ListTraces),
+        Err(Stop::Error(e)) => Err(e),
     }
 }
 
-fn parse_sweep(args: &[String]) -> Result<Command, String> {
-    let mut sweep = SweepArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--jobs" => {
-                let v: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if v == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                sweep.jobs = Some(v);
-            }
-            "--resume" => sweep.resume = true,
-            "--journal" => sweep.journal = PathBuf::from(value("--journal")?),
-            "--telemetry-dir" => {
-                sweep.telemetry_dir = Some(PathBuf::from(value("--telemetry-dir")?));
-            }
-            "--epoch" => sweep.epoch = parse_epoch(&value("--epoch")?)?,
-            "--spans" => sweep.spans = Some(PathBuf::from(value("--spans")?)),
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown sweep flag '{other}' (try --help)")),
+/// Why parsing ended before a subcommand's own result: a flag that
+/// answers on its own, or an error.
+enum Stop {
+    Help,
+    ListTraces,
+    Error(String),
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Stop {
+        Stop::Error(e)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(e: &str) -> Stop {
+        Stop::Error(e.to_string())
+    }
+}
+
+fn is_help(arg: &str) -> bool {
+    arg == "--help" || arg == "-h"
+}
+
+/// A subcommand's flag table reads the current flag and takes its value
+/// from here.
+struct Flags<'a> {
+    flag: &'a str,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl Flags<'_> {
+    /// The argument after the flag.
+    fn value(&mut self) -> Result<String, String> {
+        self.rest
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("missing value for {}", self.flag))
+    }
+
+    fn path(&mut self) -> Result<PathBuf, String> {
+        self.value().map(PathBuf::from)
+    }
+
+    fn num<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.value()?
+            .parse()
+            .map_err(|e| format!("{}: {e}", self.flag))
+    }
+
+    fn at_least_1<T: FromStr + From<u8> + PartialOrd>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let v = self.num()?;
+        if v < T::from(1) {
+            return Err(format!("{} must be at least 1", self.flag));
+        }
+        Ok(v)
+    }
+
+    /// A comma-separated list without empty elements.
+    fn list(&mut self) -> Result<Vec<String>, String> {
+        let v = self.value()?;
+        let items: Vec<String> = v.split(',').map(str::trim).map(str::to_string).collect();
+        if items.iter().any(String::is_empty) {
+            return Err(format!(
+                "{}: expected a comma-separated list, got '{v}'",
+                self.flag
+            ));
+        }
+        Ok(items)
+    }
+
+    /// An inclusive `lo:hi` range with `lo <= hi`.
+    fn range<T: FromStr + PartialOrd>(&mut self) -> Result<(T, T), String> {
+        let (flag, v) = (self.flag, self.value()?);
+        let (lo, hi) = v
+            .split_once(':')
+            .ok_or_else(|| format!("{flag}: expected <lo>:<hi>, got '{v}'"))?;
+        let lo: T = lo
+            .parse()
+            .map_err(|_| format!("{flag}: bad lower bound '{lo}'"))?;
+        let hi: T = hi
+            .parse()
+            .map_err(|_| format!("{flag}: bad upper bound '{hi}'"))?;
+        if lo > hi {
+            return Err(format!("{flag}: range is inverted"));
+        }
+        Ok((lo, hi))
+    }
+}
+
+/// Walks `args`, handing each flag to `table`, which parses it and
+/// returns `Ok(false)` for a flag it does not know. `cmd` prefixes the
+/// unknown-flag message (`"sweep "`; empty for a plain run).
+fn walk(
+    cmd: &str,
+    args: &[String],
+    mut table: impl FnMut(&mut Flags) -> Result<bool, Stop>,
+) -> Result<(), Stop> {
+    let mut f = Flags {
+        flag: "",
+        rest: args.iter(),
+    };
+    while let Some(flag) = f.rest.next() {
+        if is_help(flag) {
+            return Err(Stop::Help);
+        }
+        f.flag = flag;
+        if !table(&mut f)? {
+            return Err(format!("unknown {cmd}flag '{flag}' (try --help)").into());
         }
     }
+    Ok(())
+}
+
+/// Resolves `name` with `find`, or lists the `valid` names of `what`.
+fn lookup<T>(
+    name: &str,
+    find: impl Fn(&str) -> Option<T>,
+    what: &str,
+    valid: &str,
+) -> Result<T, String> {
+    find(name).ok_or_else(|| format!("unknown {what} '{name}' (valid: {valid})"))
+}
+
+/// The single-core `llc` an `--llc-mb`/`--ways` pair describes; a pair
+/// no such cache can be built with fails here instead of panicking in the
+/// simulator.
+fn llc_config(llc: LlcKind, llc_mb: u64, ways: u64) -> Result<SimConfig, String> {
+    SimConfig::single_thread(llc)
+        .try_with_llc_size(llc_mb, ways)
+        .map_err(|e| format!("bad LLC geometry (--llc-mb {llc_mb}, --ways {ways}): {e}"))
+}
+
+fn parse_run(args: &[String]) -> Result<Command, Stop> {
+    let mut run = RunArgs::default();
+    let mut trace = None;
+    walk("", args, |f| {
+        match f.flag {
+            "--trace" => trace = Some(f.value()?),
+            "--list-traces" => return Err(Stop::ListTraces),
+            "--insts" => run.insts = f.num()?,
+            "--compare" => run.compare = true,
+            "--telemetry" => run.telemetry = Some(f.path()?),
+            "--epoch" => run.epoch = f.at_least_1()?,
+            _ => return run.cache.flag(f),
+        }
+        Ok(true)
+    })?;
+    run.sim_config()?;
+    run.trace = trace.ok_or("--trace <name> or --list-traces required")?;
+    Ok(Command::Run(run))
+}
+
+fn parse_sweep(args: &[String]) -> Result<Command, Stop> {
+    let mut sweep = SweepArgs::default();
+    walk("sweep ", args, |f| {
+        match f.flag {
+            "--jobs" => sweep.jobs = Some(f.at_least_1()?),
+            "--resume" => sweep.resume = true,
+            "--journal" => sweep.journal = f.path()?,
+            "--telemetry-dir" => sweep.telemetry_dir = Some(f.path()?),
+            "--epoch" => sweep.epoch = f.at_least_1()?,
+            "--spans" => sweep.spans = Some(f.path()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     Ok(Command::Sweep(sweep))
 }
 
-fn parse_serve(args: &[String]) -> Result<Command, String> {
+fn parse_serve(args: &[String]) -> Result<Command, Stop> {
     let mut serve = ServeArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => serve.addr = value("--addr")?,
-            "--workers" => {
-                let v: usize = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if v == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                serve.workers = Some(v);
-            }
-            "--journal" => serve.journal = PathBuf::from(value("--journal")?),
-            "--timeout-secs" => {
-                serve.timeout_secs = value("--timeout-secs")?
-                    .parse()
-                    .map_err(|e| format!("--timeout-secs: {e}"))?;
-            }
-            "--retries" => {
-                serve.retries = value("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
-            }
-            "--port-file" => serve.port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--spans" => serve.spans = Some(PathBuf::from(value("--spans")?)),
-            "--metrics-port" => {
-                serve.metrics_port = Some(
-                    value("--metrics-port")?
-                        .parse()
-                        .map_err(|e| format!("--metrics-port: {e}"))?,
-                );
-            }
+    walk("serve ", args, |f| {
+        match f.flag {
+            "--addr" => serve.addr = f.value()?,
+            "--workers" => serve.workers = Some(f.at_least_1()?),
+            "--journal" => serve.journal = f.path()?,
+            "--timeout-secs" => serve.timeout_secs = f.num()?,
+            "--retries" => serve.retries = f.num()?,
+            "--port-file" => serve.port_file = Some(f.path()?),
+            "--spans" => serve.spans = Some(f.path()?),
+            "--metrics-port" => serve.metrics_port = Some(f.num()?),
             "--no-metrics" => serve.metrics = false,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown serve flag '{other}' (try --help)")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(Command::Serve(serve))
 }
 
-/// Splits a comma-separated list, rejecting empty elements.
-fn parse_list(flag: &str, v: &str) -> Result<Vec<String>, String> {
-    let items: Vec<String> = v.split(',').map(str::trim).map(str::to_string).collect();
-    if items.iter().any(String::is_empty) {
-        return Err(format!(
-            "{flag}: expected a comma-separated list, got '{v}'"
-        ));
-    }
-    Ok(items)
-}
-
-fn parse_submit(args: &[String]) -> Result<Command, String> {
+fn parse_submit(args: &[String]) -> Result<Command, Stop> {
     let mut submit = SubmitArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => submit.addr = value("--addr")?,
-            "--traces" => submit.traces = parse_list("--traces", &value("--traces")?)?,
+    walk("submit ", args, |f| {
+        match f.flag {
+            "--addr" => submit.addr = f.value()?,
+            "--traces" => submit.traces = f.list()?,
             "--llcs" => {
-                let list = parse_list("--llcs", &value("--llcs")?)?;
-                for name in &list {
-                    if LlcKind::from_name(name).is_none() {
-                        return Err(format!("unknown LLC kind '{name}' (valid: {LLC_KINDS})"));
-                    }
+                submit.llcs = f.list()?;
+                for name in &submit.llcs {
+                    lookup(name, parse_llc, "LLC kind", LLC_KINDS)?;
                 }
-                submit.llcs = list;
             }
             "--policies" => {
-                let list = parse_list("--policies", &value("--policies")?)?;
-                for name in &list {
-                    if PolicyKind::from_name(name).is_none() {
-                        return Err(format!("unknown policy '{name}' (valid: {POLICY_NAMES})"));
-                    }
+                submit.policies = f.list()?;
+                for name in &submit.policies {
+                    lookup(name, parse_policy, "policy", POLICY_NAMES)?;
                 }
-                submit.policies = list;
             }
-            "--llc-mb" => {
-                submit.llc_mb = value("--llc-mb")?
-                    .parse()
-                    .map_err(|e| format!("--llc-mb: {e}"))?;
-            }
-            "--ways" => {
-                submit.ways = value("--ways")?
-                    .parse()
-                    .map_err(|e| format!("--ways: {e}"))?;
-            }
-            "--warmup" => {
-                submit.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--insts" => {
-                submit.insts = value("--insts")?
-                    .parse()
-                    .map_err(|e| format!("--insts: {e}"))?;
-            }
-            "--out" => submit.out = Some(PathBuf::from(value("--out")?)),
+            "--llc-mb" => submit.llc_mb = f.num()?,
+            "--ways" => submit.ways = f.num()?,
+            "--warmup" => submit.warmup = f.num()?,
+            "--insts" => submit.insts = f.num()?,
+            "--out" => submit.out = Some(f.path()?),
             "--no-wait" => submit.no_wait = true,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown submit flag '{other}' (try --help)")),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    // The `--llcs` arm has already rejected unknown names.
+    for llc in submit.llcs.iter().filter_map(|name| parse_llc(name)) {
+        llc_config(llc, submit.llc_mb, submit.ways)?;
     }
     if submit.traces.is_empty() {
         return Err("submit requires --traces <a,b,...>".into());
@@ -908,299 +976,128 @@ fn parse_submit(args: &[String]) -> Result<Command, String> {
     Ok(Command::Submit(submit))
 }
 
-fn parse_watch(args: &[String]) -> Result<Command, String> {
+fn parse_watch(args: &[String]) -> Result<Command, Stop> {
     let mut addr = DEFAULT_SERVE_ADDR.to_string();
     let mut ticket = None;
     let mut out = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--ticket" => {
-                ticket = Some(
-                    value("--ticket")?
-                        .parse()
-                        .map_err(|e| format!("--ticket: {e}"))?,
-                );
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown watch flag '{other}' (try --help)")),
+    walk("watch ", args, |f| {
+        match f.flag {
+            "--addr" => addr = f.value()?,
+            "--ticket" => ticket = Some(f.num()?),
+            "--out" => out = Some(f.path()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let ticket = ticket.ok_or("watch requires --ticket <n>")?;
     Ok(Command::Watch(WatchArgs { addr, ticket, out }))
 }
 
-fn parse_ctl(args: &[String]) -> Result<Command, String> {
+fn parse_ctl(args: &[String]) -> Result<Command, Stop> {
     let mut addr = DEFAULT_SERVE_ADDR.to_string();
     let mut action = None;
-    let set = |a: CtlAction, action: &mut Option<CtlAction>| -> Result<(), String> {
-        if action.is_some() {
+    walk("ctl ", args, |f| {
+        let next = match f.flag {
+            "--addr" => {
+                addr = f.value()?;
+                return Ok(true);
+            }
+            "--status" => CtlAction::Status,
+            "--cancel" => CtlAction::Cancel(f.num()?),
+            "--kill-worker" => CtlAction::KillWorker(f.num()?),
+            "--shutdown" => CtlAction::Shutdown,
+            _ => return Ok(false),
+        };
+        if action.replace(next).is_some() {
             return Err("ctl takes exactly one action".into());
         }
-        *action = Some(a);
-        Ok(())
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--status" => set(CtlAction::Status, &mut action)?,
-            "--cancel" => {
-                let t = value("--cancel")?
-                    .parse()
-                    .map_err(|e| format!("--cancel: {e}"))?;
-                set(CtlAction::Cancel(t), &mut action)?;
-            }
-            "--kill-worker" => {
-                let w = value("--kill-worker")?
-                    .parse()
-                    .map_err(|e| format!("--kill-worker: {e}"))?;
-                set(CtlAction::KillWorker(w), &mut action)?;
-            }
-            "--shutdown" => set(CtlAction::Shutdown, &mut action)?,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown ctl flag '{other}' (try --help)")),
-        }
-    }
+        Ok(true)
+    })?;
     let action =
         action.ok_or("ctl requires one of --status | --cancel | --kill-worker | --shutdown")?;
     Ok(Command::Ctl(CtlArgs { addr, action }))
 }
 
-fn parse_top(args: &[String]) -> Result<Command, String> {
+fn parse_top(args: &[String]) -> Result<Command, Stop> {
     let mut top = TopArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--addr" => top.addr = value("--addr")?,
-            "--interval-ms" => {
-                let v: u64 = value("--interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--interval-ms: {e}"))?;
-                if v == 0 {
-                    return Err("--interval-ms must be at least 1".into());
-                }
-                top.interval_ms = v;
-            }
+    walk("top ", args, |f| {
+        match f.flag {
+            "--addr" => top.addr = f.value()?,
+            "--interval-ms" => top.interval_ms = f.at_least_1()?,
             "--once" => top.once = true,
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown top flag '{other}' (try --help)")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(Command::Top(top))
 }
 
-/// Parses an inclusive `lo:hi` range with `lo <= hi`.
-fn parse_range<T: std::str::FromStr + PartialOrd>(flag: &str, v: &str) -> Result<(T, T), String> {
-    let (lo, hi) = v
-        .split_once(':')
-        .ok_or_else(|| format!("{flag}: expected <lo>:<hi>, got '{v}'"))?;
-    let lo: T = lo
-        .parse()
-        .map_err(|_| format!("{flag}: bad lower bound '{lo}'"))?;
-    let hi: T = hi
-        .parse()
-        .map_err(|_| format!("{flag}: bad upper bound '{hi}'"))?;
-    if lo > hi {
-        return Err(format!("{flag}: range is inverted"));
-    }
-    Ok((lo, hi))
-}
-
-fn parse_trace(args: &[String]) -> Result<Command, String> {
+fn parse_trace(args: &[String]) -> Result<Command, Stop> {
     let mut t = TraceArgs::default();
     let mut trace = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--trace" => trace = Some(value("--trace")?),
-            "--llc" => {
-                let v = value("--llc")?;
-                t.llc = parse_llc(&v)
-                    .ok_or_else(|| format!("unknown LLC kind '{v}' (valid: {LLC_KINDS})"))?;
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                t.policy = parse_policy(&v)
-                    .ok_or_else(|| format!("unknown policy '{v}' (valid: {POLICY_NAMES})"))?;
-            }
-            "--llc-mb" => {
-                t.llc_mb = value("--llc-mb")?
-                    .parse()
-                    .map_err(|e| format!("--llc-mb: {e}"))?;
-            }
-            "--ways" => {
-                t.ways = value("--ways")?
-                    .parse()
-                    .map_err(|e| format!("--ways: {e}"))?;
-            }
-            "--warmup" => {
-                t.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--budget" => {
-                t.budget = value("--budget")?
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
-            }
-            "--out" => t.out = Some(PathBuf::from(value("--out")?)),
+    walk("trace ", args, |f| {
+        match f.flag {
+            "--trace" => trace = Some(f.value()?),
+            "--budget" => t.budget = f.num()?,
+            "--out" => t.out = Some(f.path()?),
             "--kinds" => {
-                let v = value("--kinds")?;
+                let v = f.value()?;
                 // Validate now so an unknown kind fails before a long run.
                 bv_events::EventFilter::all().with_kind_names(&v)?;
                 t.kinds = Some(v);
             }
-            "--sets" => t.sets = Some(parse_range("--sets", &value("--sets")?)?),
-            "--window" => t.window = Some(parse_range("--window", &value("--window")?)?),
-            "--capacity" => {
-                let v: usize = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if v == 0 {
-                    return Err("--capacity must be at least 1".into());
-                }
-                t.capacity = v;
-            }
+            "--sets" => t.sets = Some(f.range()?),
+            "--window" => t.window = Some(f.range()?),
+            "--capacity" => t.capacity = f.at_least_1()?,
             "--heatmap" => t.heatmap = true,
             "--audit" => t.audit = true,
-            "--ops" => {
-                t.ops = value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?;
-            }
-            "--seed" => {
-                t.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--context" => {
-                t.context = value("--context")?
-                    .parse()
-                    .map_err(|e| format!("--context: {e}"))?;
-            }
-            "--inject" => {
-                t.inject = Some(
-                    value("--inject")?
-                        .parse()
-                        .map_err(|e| format!("--inject: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown trace flag '{other}' (try --help)")),
+            "--ops" => t.ops = f.num()?,
+            "--seed" => t.seed = f.num()?,
+            "--context" => t.context = f.num()?,
+            "--inject" => t.inject = Some(f.num()?),
+            _ => return t.cache.flag(f),
         }
+        Ok(true)
+    })?;
+    // The auditor runs a fixed 64 KiB 8-way LLC and ignores these flags.
+    if !t.audit {
+        t.sim_config()?;
     }
-    match (trace, t.audit) {
-        (Some(name), _) => {
-            t.trace = name;
-            Ok(Command::Trace(t))
-        }
-        (None, true) => Ok(Command::Trace(t)),
-        (None, false) => Err("trace requires --trace <name> (or --audit)".into()),
+    match trace {
+        Some(name) => t.trace = name,
+        None if t.audit => {}
+        None => return Err("trace requires --trace <name> (or --audit)".into()),
     }
+    Ok(Command::Trace(t))
 }
 
-fn parse_kv(args: &[String]) -> Result<Command, String> {
+fn parse_kv(args: &[String]) -> Result<Command, Stop> {
     let mut kv = KvArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--org" => {
-                let v = value("--org")?;
-                kv.org = parse_kv_org(&v)
-                    .ok_or_else(|| format!("unknown kv org '{v}' (valid: {KV_ORGS})"))?;
-            }
+    walk("kv ", args, |f| {
+        match f.flag {
+            "--org" => kv.org = lookup(&f.value()?, parse_kv_org, "kv org", KV_ORGS)?,
             "--dist" => {
-                let v = value("--dist")?;
-                if bv_trace::request::RequestProfile::by_name(&v).is_none() {
-                    return Err(format!("unknown kv dist '{v}' (valid: {KV_DISTS})"));
-                }
-                kv.dist = v;
+                let dist = f.value()?;
+                lookup(&dist, RequestProfile::by_name, "kv dist", KV_DISTS)?;
+                kv.dist = dist;
             }
-            "--budget-kib" => {
-                let v: u64 = value("--budget-kib")?
-                    .parse()
-                    .map_err(|e| format!("--budget-kib: {e}"))?;
-                if v == 0 {
-                    return Err("--budget-kib must be at least 1".into());
-                }
-                kv.budget_kib = v;
-            }
-            "--requests" => {
-                kv.requests = value("--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--warmup" => {
-                kv.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--seed" => {
-                kv.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--budget-kib" => kv.budget_kib = f.at_least_1()?,
+            "--requests" => kv.requests = f.num()?,
+            "--warmup" => kv.warmup = f.num()?,
+            "--seed" => kv.seed = f.num()?,
             "--compare" => kv.compare = true,
             "--sweep" => kv.sweep = true,
-            "--jobs" => {
-                let v: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if v == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                kv.jobs = Some(v);
-            }
-            "--telemetry" => kv.telemetry = Some(PathBuf::from(value("--telemetry")?)),
-            "--epoch" => kv.epoch = parse_epoch(&value("--epoch")?)?,
-            "--events" => kv.events = Some(PathBuf::from(value("--events")?)),
-            "--capacity" => {
-                let v: usize = value("--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?;
-                if v == 0 {
-                    return Err("--capacity must be at least 1".into());
-                }
-                kv.capacity = v;
-            }
+            "--jobs" => kv.jobs = Some(f.at_least_1()?),
+            "--telemetry" => kv.telemetry = Some(f.path()?),
+            "--epoch" => kv.epoch = f.at_least_1()?,
+            "--events" => kv.events = Some(f.path()?),
+            "--capacity" => kv.capacity = f.at_least_1()?,
             "--lockstep" => kv.lockstep = true,
-            "--inject" => {
-                kv.inject = Some(
-                    value("--inject")?
-                        .parse()
-                        .map_err(|e| format!("--inject: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown kv flag '{other}' (try --help)")),
+            "--inject" => kv.inject = Some(f.num()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if kv.compare && kv.sweep {
         return Err("--compare and --sweep are mutually exclusive".into());
     }
@@ -1213,102 +1110,77 @@ fn parse_kv(args: &[String]) -> Result<Command, String> {
     Ok(Command::Kv(kv))
 }
 
-fn parse_fuzz(args: &[String]) -> Result<Command, String> {
-    let mut f = FuzzArgs::default();
+fn parse_fuzz(args: &[String]) -> Result<Command, Stop> {
+    let mut fz = FuzzArgs::default();
     let mut cases_given = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--cases" => {
-                let v: u64 = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-                if v == 0 {
-                    return Err("--cases must be at least 1".into());
-                }
-                f.cases = v;
-                cases_given = true;
-            }
-            "--seed" => {
-                f.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--llc" => f.domain = Some(bv_fuzz::Domain::Llc),
-            "--kv" => f.domain = Some(bv_fuzz::Domain::Kv),
-            "--inject" => f.inject = true,
-            "--replay" => f.replay = Some(PathBuf::from(value("--replay")?)),
-            "--shrink" => f.shrink = true,
-            "--out" => f.out = Some(PathBuf::from(value("--out")?)),
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown fuzz flag '{other}' (try --help)")),
-        }
-    }
     // --llc/--kv may each appear, but the last one silently winning
     // would hide a typo; catch the contradiction instead.
-    if args.iter().any(|a| a == "--llc") && args.iter().any(|a| a == "--kv") {
+    let mut domain_clash = false;
+    walk("fuzz ", args, |f| {
+        match f.flag {
+            "--cases" => {
+                fz.cases = f.at_least_1()?;
+                cases_given = true;
+            }
+            "--seed" => fz.seed = f.num()?,
+            "--llc" | "--kv" => {
+                let domain = if f.flag == "--llc" {
+                    bv_fuzz::Domain::Llc
+                } else {
+                    bv_fuzz::Domain::Kv
+                };
+                domain_clash |= fz.domain.is_some_and(|d| d != domain);
+                fz.domain = Some(domain);
+            }
+            "--inject" => fz.inject = true,
+            "--replay" => fz.replay = Some(f.path()?),
+            "--shrink" => fz.shrink = true,
+            "--out" => fz.out = Some(f.path()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    if domain_clash {
         return Err("--llc and --kv are mutually exclusive".into());
     }
-    if f.replay.is_some() && f.inject {
+    if fz.replay.is_some() && fz.inject {
         return Err("--replay and --inject are mutually exclusive".into());
     }
-    if f.replay.is_some() && cases_given {
+    if fz.replay.is_some() && cases_given {
         return Err("--cases has no effect with --replay".into());
     }
-    if f.shrink && f.replay.is_none() {
+    if fz.shrink && fz.replay.is_none() {
         return Err("--shrink requires --replay (campaigns always shrink)".into());
     }
-    Ok(Command::Fuzz(f))
+    Ok(Command::Fuzz(fz))
 }
 
-fn parse_epoch(v: &str) -> Result<u64, String> {
-    let epoch: u64 = v.parse().map_err(|e| format!("--epoch: {e}"))?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 instruction".into());
-    }
-    Ok(epoch)
-}
-
-fn parse_report(args: &[String]) -> Result<Command, String> {
+fn parse_report(args: &[String]) -> Result<Command, Stop> {
     match args {
-        [flag] if flag == "--help" || flag == "-h" => Ok(Command::Help),
+        [flag] if is_help(flag) => Ok(Command::Help),
         [path] => Ok(Command::Report(PathBuf::from(path))),
         [] => Err("report requires a telemetry file path".into()),
         _ => Err("report takes exactly one telemetry file path".into()),
     }
 }
 
-fn parse_bench(args: &[String]) -> Result<Command, String> {
+fn parse_bench(args: &[String]) -> Result<Command, Stop> {
     let mut bench = BenchArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
+    walk("bench ", args, |f| {
+        match f.flag {
             "--quick" => bench.quick = true,
-            "--out" => bench.out = PathBuf::from(value("--out")?),
-            "--baseline" => bench.baseline = Some(PathBuf::from(value("--baseline")?)),
+            "--out" => bench.out = f.path()?,
+            "--baseline" => bench.baseline = Some(f.path()?),
             "--max-regress" => {
-                let v: u32 = value("--max-regress")?
-                    .parse()
-                    .map_err(|e| format!("--max-regress: {e}"))?;
-                if v >= 100 {
+                bench.max_regress = f.num()?;
+                if bench.max_regress >= 100 {
                     return Err("--max-regress must be below 100".into());
                 }
-                bench.max_regress = v;
             }
-            "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown bench flag '{other}' (try --help)")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(Command::Bench(bench))
 }
 
@@ -1789,5 +1661,141 @@ mod tests {
         // Exactly one action: none or two both fail.
         assert!(parse(&argv("ctl")).is_err());
         assert!(parse(&argv("ctl --status --shutdown")).is_err());
+    }
+
+    /// Every subcommand's error messages, byte for byte: missing value,
+    /// unknown flag, unparsable number, and each subcommand's own rules.
+    #[test]
+    fn error_strings_are_pinned() {
+        const TABLE: &[(&str, &str)] = &[
+            ("", "--trace <name> or --list-traces required"),
+            ("--trace", "missing value for --trace"),
+            ("--trace t --telemetry", "missing value for --telemetry"),
+            ("--bogus", "unknown flag '--bogus' (try --help)"),
+            ("--trace t --llc nonsense", "unknown LLC kind 'nonsense' (valid: uncompressed, two-tag, two-tag-ecm, base-victim, base-victim-ni, base-victim-random-fit, vsc, dcc)"),
+            ("--trace t --policy mru", "unknown policy 'mru' (valid: lru, nru, srrip, char, camp, random)"),
+            ("--trace t --llc-mb big", "--llc-mb: invalid digit found in string"),
+            ("--trace t --ways wide", "--ways: invalid digit found in string"),
+            ("--trace t --warmup x", "--warmup: invalid digit found in string"),
+            ("--trace t --insts x", "--insts: invalid digit found in string"),
+            ("--trace t --epoch soon", "--epoch: invalid digit found in string"),
+            ("--trace t --epoch 0", "--epoch must be at least 1"),
+            ("sweep --journal", "missing value for --journal"),
+            ("sweep --trace t", "unknown sweep flag '--trace' (try --help)"),
+            ("sweep --jobs many", "--jobs: invalid digit found in string"),
+            ("sweep --jobs 0", "--jobs must be at least 1"),
+            ("sweep --epoch 0", "--epoch must be at least 1"),
+            ("bench --out", "missing value for --out"),
+            ("bench --bogus", "unknown bench flag '--bogus' (try --help)"),
+            ("bench --max-regress some", "--max-regress: invalid digit found in string"),
+            ("bench --max-regress 100", "--max-regress must be below 100"),
+            ("report", "report requires a telemetry file path"),
+            ("report a b", "report takes exactly one telemetry file path"),
+            ("trace", "trace requires --trace <name> (or --audit)"),
+            ("trace --out", "missing value for --out"),
+            ("trace --bogus", "unknown trace flag '--bogus' (try --help)"),
+            ("trace --trace t --budget x", "--budget: invalid digit found in string"),
+            ("trace --trace t --ways x", "--ways: invalid digit found in string"),
+            ("trace --trace t --capacity 0", "--capacity must be at least 1"),
+            ("trace --trace t --sets 5", "--sets: expected <lo>:<hi>, got '5'"),
+            ("trace --trace t --sets 9:2", "--sets: range is inverted"),
+            ("trace --trace t --window a:b", "--window: bad lower bound 'a'"),
+            ("trace --trace t --window 1:b", "--window: bad upper bound 'b'"),
+            ("trace --trace t --kinds fill,bogus", "unknown event kind 'bogus'"),
+            ("trace --trace t --llc nonsense", "unknown LLC kind 'nonsense' (valid: uncompressed, two-tag, two-tag-ecm, base-victim, base-victim-ni, base-victim-random-fit, vsc, dcc)"),
+            ("trace --audit --ops x", "--ops: invalid digit found in string"),
+            ("trace --audit --inject -1", "--inject: invalid digit found in string"),
+            ("kv --dist", "missing value for --dist"),
+            ("kv --bogus", "unknown kv flag '--bogus' (try --help)"),
+            ("kv --requests soon", "--requests: invalid digit found in string"),
+            ("kv --budget-kib 0", "--budget-kib must be at least 1"),
+            ("kv --jobs 0", "--jobs must be at least 1"),
+            ("kv --capacity 0", "--capacity must be at least 1"),
+            ("kv --epoch 0", "--epoch must be at least 1"),
+            ("kv --compare --sweep", "--compare and --sweep are mutually exclusive"),
+            ("kv --lockstep --compare", "--lockstep runs alone (drop --compare/--sweep)"),
+            ("kv --inject 5", "--inject requires --lockstep"),
+            ("kv --org nonsense", "unknown kv org 'nonsense' (valid: uncompressed, compressed, base-victim)"),
+            ("kv --dist nonsense", "unknown kv dist 'nonsense' (valid: web, analytics, social)"),
+            ("fuzz --replay", "missing value for --replay"),
+            ("fuzz --bogus", "unknown fuzz flag '--bogus' (try --help)"),
+            ("fuzz --cases many", "--cases: invalid digit found in string"),
+            ("fuzz --cases 0", "--cases must be at least 1"),
+            ("fuzz --llc --kv", "--llc and --kv are mutually exclusive"),
+            ("fuzz --kv --seed 3 --llc", "--llc and --kv are mutually exclusive"),
+            ("fuzz --replay f --inject", "--replay and --inject are mutually exclusive"),
+            ("fuzz --replay f --cases 5", "--cases has no effect with --replay"),
+            ("fuzz --shrink", "--shrink requires --replay (campaigns always shrink)"),
+            ("serve --addr", "missing value for --addr"),
+            ("serve --bogus", "unknown serve flag '--bogus' (try --help)"),
+            ("serve --workers 0", "--workers must be at least 1"),
+            ("serve --metrics-port 66000", "--metrics-port: number too large to fit in target type"),
+            ("serve --retries x", "--retries: invalid digit found in string"),
+            ("submit", "submit requires --traces <a,b,...>"),
+            ("submit --traces", "missing value for --traces"),
+            ("submit --bogus", "unknown submit flag '--bogus' (try --help)"),
+            ("submit --traces t,,u", "--traces: expected a comma-separated list, got 't,,u'"),
+            ("submit --traces t --llcs bogus", "unknown LLC kind 'bogus' (valid: uncompressed, two-tag, two-tag-ecm, base-victim, base-victim-ni, base-victim-random-fit, vsc, dcc)"),
+            ("submit --traces t --policies bogus", "unknown policy 'bogus' (valid: lru, nru, srrip, char, camp, random)"),
+            ("submit --traces t --ways x", "--ways: invalid digit found in string"),
+            ("watch", "watch requires --ticket <n>"),
+            ("watch --ticket", "missing value for --ticket"),
+            ("watch --bogus", "unknown watch flag '--bogus' (try --help)"),
+            ("watch --ticket x", "--ticket: invalid digit found in string"),
+            ("ctl", "ctl requires one of --status | --cancel | --kill-worker | --shutdown"),
+            ("ctl --status --shutdown", "ctl takes exactly one action"),
+            ("ctl --cancel", "missing value for --cancel"),
+            ("ctl --cancel x", "--cancel: invalid digit found in string"),
+            ("ctl --bogus", "unknown ctl flag '--bogus' (try --help)"),
+            ("top --addr", "missing value for --addr"),
+            ("top --bogus", "unknown top flag '--bogus' (try --help)"),
+            ("top --interval-ms 0", "--interval-ms must be at least 1"),
+            ("top --interval-ms x", "--interval-ms: invalid digit found in string"),
+        ];
+        for &(args, want) in TABLE {
+            assert_eq!(parse(&argv(args)), Err(want.to_string()), "bvsim {args}");
+        }
+    }
+
+    #[test]
+    fn bad_llc_geometry_is_an_error() {
+        const TABLE: &[(&str, &str)] = &[
+            ("--trace t --ways 0", "bad LLC geometry (--llc-mb 2, --ways 0): associativity must be at least 1"),
+            ("--trace t --ways 128", "bad LLC geometry (--llc-mb 2, --ways 128): associativity 128 exceeds 64 ways"),
+            ("--trace t --llc-mb 0", "bad LLC geometry (--llc-mb 0, --ways 16): set count 0 must be a nonzero power of two"),
+            ("--trace t --llc-mb 3", "bad LLC geometry (--llc-mb 3, --ways 16): set count 3072 must be a nonzero power of two"),
+            ("--trace t --llc-mb 17592186044416", "bad LLC geometry (--llc-mb 17592186044416, --ways 16): capacity overflows"),
+            ("trace --trace t --ways 0", "bad LLC geometry (--llc-mb 2, --ways 0): associativity must be at least 1"),
+            ("trace --trace t --llc-mb 3", "bad LLC geometry (--llc-mb 3, --ways 16): set count 3072 must be a nonzero power of two"),
+            ("--trace t --llc two-tag --ways 64", "bad LLC geometry (--llc-mb 2, --ways 64): two-tag keeps 2 tags per way, so at most 32 ways"),
+            ("trace --trace t --llc vsc --ways 33", "bad LLC geometry (--llc-mb 2, --ways 33): cache size 2097152 not a multiple of 33 ways x 64 B"),
+            ("trace --trace t --llc vsc --llc-mb 3 --ways 48", "bad LLC geometry (--llc-mb 3, --ways 48): vsc-2x keeps 2 tags per way, so at most 32 ways"),
+            ("submit --traces t --llcs base-victim,dcc --ways 64", "bad LLC geometry (--llc-mb 2, --ways 64): dcc keeps 2 tags per way, so at most 32 ways"),
+            ("submit --traces t --ways 0", "bad LLC geometry (--llc-mb 2, --ways 0): associativity must be at least 1"),
+            ("submit --traces t --llc-mb 3", "bad LLC geometry (--llc-mb 3, --ways 16): set count 3072 must be a nonzero power of two"),
+        ];
+        for &(args, want) in TABLE {
+            assert_eq!(parse(&argv(args)), Err(want.to_string()), "bvsim {args}");
+        }
+        // The paper's 3 MB point adds 8 ways; 64 ways is the widest set.
+        assert!(parse(&argv("--trace t --llc-mb 3 --ways 24")).is_ok());
+        assert!(parse(&argv("trace --trace t --llc-mb 4 --ways 64")).is_ok());
+        assert!(parse(&argv("submit --traces t --llc-mb 3 --ways 24")).is_ok());
+        assert!(parse(&argv("--trace t --llc two-tag --ways 32")).is_ok());
+        // The auditor ignores --llc-mb/--ways, so it accepts any pair.
+        assert!(parse(&argv("trace --audit --ways 0")).is_ok());
+        assert!(parse(&argv("trace --audit --llc-mb 3")).is_ok());
+    }
+
+    #[test]
+    fn fuzz_domain_clash_reads_parsed_flags_not_raw_argv() {
+        // `--kv` here is the value of `--out`, not a domain flag.
+        let Command::Fuzz(f) = parse(&argv("fuzz --out --kv --llc")).expect("parse") else {
+            panic!("expected Fuzz")
+        };
+        assert_eq!(f.out, Some(PathBuf::from("--kv")));
+        assert_eq!(f.domain, Some(bv_fuzz::Domain::Llc));
+        // Repeating the same domain is not a contradiction.
+        assert!(parse(&argv("fuzz --kv --kv")).is_ok());
     }
 }
