@@ -7,6 +7,10 @@
 //! that shifts a single counter fails here — the size-cache memoization and
 //! the word-wise kernel rewrites must be behaviorally invisible.
 //!
+//! The shared-LLC driver is pinned the same way on the first paper mix,
+//! and one epoch-sampled telemetry report is pinned line for line, so a
+//! change to either drive loop or to the sampler shows up here too.
+//!
 //! Regenerate after an *intentional* behavior change with:
 //!
 //! ```text
@@ -15,8 +19,12 @@
 
 use base_victim::kvcache::{run_kv, KvConfig, KvOrgKind, KvRunResult};
 use base_victim::runner::json::{parse, ObjWriter, Value};
+use base_victim::sim::{DramStats, MulticoreResult, SimTelemetry};
+use base_victim::trace::mix::paper_mixes;
 use base_victim::trace::request::RequestProfile;
-use base_victim::{LlcKind, PolicyKind, RunResult, SimConfig, System, TraceRegistry};
+use base_victim::{
+    LlcKind, LlcStats, MulticoreSystem, PolicyKind, RunResult, SimConfig, System, TraceRegistry,
+};
 use std::path::PathBuf;
 
 const WARMUP: u64 = 150_000;
@@ -102,33 +110,72 @@ fn snapshot(run: &RunResult) -> String {
     let mut w = ObjWriter::new();
     w.str("llc_name", run.llc_name)
         .u64("instructions", run.instructions)
-        .u64("cycles", run.cycles)
-        .u64("base_hits", run.llc.base_hits)
-        .u64("victim_hits", run.llc.victim_hits)
-        .u64("read_misses", run.llc.read_misses)
-        .u64("writeback_hits", run.llc.writeback_hits)
-        .u64("writeback_misses", run.llc.writeback_misses)
-        .u64("prefetch_fills", run.llc.prefetch_fills)
-        .u64("prefetch_hits", run.llc.prefetch_hits)
-        .u64("demand_fills", run.llc.demand_fills)
-        .u64("memory_writes", run.llc.memory_writes)
-        .u64("back_invalidations", run.llc.back_invalidations)
-        .u64("migrations", run.llc.migrations)
-        .u64("partner_evictions", run.llc.partner_evictions)
-        .u64("victim_inserts", run.llc.victim_inserts)
-        .u64("victim_insert_failures", run.llc.victim_insert_failures)
-        .u64("dram_reads", run.dram.reads)
-        .u64("dram_writes", run.dram.writes)
-        .u64("dram_row_hits", run.dram.row_hits)
-        .u64("dram_row_misses", run.dram.row_misses)
+        .u64("cycles", run.cycles);
+    uncore_fields(&mut w, &run.llc, &run.dram)
         .u64_array("level_hits", &run.level_hits)
         .u64_array("compression_histogram", &run.compression.histogram());
     w.finish()
 }
 
-/// Compares one run against its committed golden, or rewrites the golden
-/// when `update` is set. Appends a diff description to `failures` on
-/// mismatch.
+/// Every [`LlcStats`] and [`DramStats`] field, in one fixed order.
+fn uncore_fields<'w>(w: &'w mut ObjWriter, llc: &LlcStats, dram: &DramStats) -> &'w mut ObjWriter {
+    w.u64("base_hits", llc.base_hits)
+        .u64("victim_hits", llc.victim_hits)
+        .u64("read_misses", llc.read_misses)
+        .u64("writeback_hits", llc.writeback_hits)
+        .u64("writeback_misses", llc.writeback_misses)
+        .u64("prefetch_fills", llc.prefetch_fills)
+        .u64("prefetch_hits", llc.prefetch_hits)
+        .u64("demand_fills", llc.demand_fills)
+        .u64("memory_writes", llc.memory_writes)
+        .u64("back_invalidations", llc.back_invalidations)
+        .u64("migrations", llc.migrations)
+        .u64("partner_evictions", llc.partner_evictions)
+        .u64("victim_inserts", llc.victim_inserts)
+        .u64("victim_insert_failures", llc.victim_insert_failures)
+        .u64("dram_reads", dram.reads)
+        .u64("dram_writes", dram.writes)
+        .u64("dram_row_hits", dram.row_hits)
+        .u64("dram_row_misses", dram.row_misses)
+}
+
+/// Compares `got` against the committed golden `file`, or rewrites the
+/// golden when `update` is set. Appends a diff description to `failures`
+/// on mismatch.
+fn check_golden(file: &str, got: &str, update: bool, failures: &mut Vec<String>) {
+    let dir = golden_dir();
+    let path = dir.join(file);
+    if update {
+        std::fs::create_dir_all(&dir).expect("create goldens dir");
+        std::fs::write(&path, format!("{}\n", got.trim_end())).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); regenerate with BV_UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    if want.trim_end() != got.trim_end() {
+        failures.push(format!(
+            "{file}:\n{}",
+            describe_mismatch(want.trim_end(), got.trim_end())
+        ));
+    }
+}
+
+/// Fails with every collected golden mismatch, if any.
+fn assert_no_failures(what: &str, failures: &[String]) {
+    assert!(
+        failures.is_empty(),
+        "{} {what}(s) diverged from committed goldens \
+         (BV_UPDATE_GOLDENS=1 to regenerate after an intentional change):\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// Runs one trace under `cfg` and checks it against its committed golden.
 fn check_one(
     cfg: SimConfig,
     trace_name: &str,
@@ -139,26 +186,12 @@ fn check_one(
 ) {
     let trace = registry.get(trace_name).expect("sample trace in registry");
     let run = System::new(cfg).run_with_warmup(&trace.workload, WARMUP, INSTS);
-    let got = snapshot(&run);
-    let dir = golden_dir();
-    let path = dir.join(format!("{file_stem}.json"));
-    if update {
-        std::fs::create_dir_all(&dir).expect("create goldens dir");
-        std::fs::write(&path, format!("{got}\n")).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); regenerate with BV_UPDATE_GOLDENS=1",
-            path.display()
-        )
-    });
-    if want.trim_end() != got {
-        failures.push(format!(
-            "{file_stem}:\n{}",
-            describe_mismatch(want.trim_end(), &got)
-        ));
-    }
+    check_golden(
+        &format!("{file_stem}.json"),
+        &snapshot(&run),
+        update,
+        failures,
+    );
 }
 
 #[test]
@@ -188,13 +221,7 @@ fn end_to_end_counters_match_committed_goldens() {
             );
         }
     }
-    assert!(
-        failures.is_empty(),
-        "{} snapshot(s) diverged from committed goldens \
-         (BV_UPDATE_GOLDENS=1 to regenerate after an intentional change):\n{}",
-        failures.len(),
-        failures.join("\n")
-    );
+    assert_no_failures("snapshot", &failures);
 }
 
 /// Every integer counter the kv tier emits, as one stable JSON object.
@@ -252,36 +279,76 @@ fn kv_counters_match_committed_goldens() {
     for dist in RequestProfile::NAMES {
         for org in KvOrgKind::ALL {
             let run = run_kv(&kv_config(org, dist));
-            let got = kv_snapshot(&run);
-            let dir = golden_dir();
-            let path = dir.join(format!("kv.{dist}.{}.json", org.name()));
-            if update {
-                std::fs::create_dir_all(&dir).expect("create goldens dir");
-                std::fs::write(&path, format!("{got}\n")).expect("write golden");
-                continue;
-            }
-            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing golden {} ({e}); regenerate with BV_UPDATE_GOLDENS=1",
-                    path.display()
-                )
-            });
-            if want.trim_end() != got {
-                failures.push(format!(
-                    "kv.{dist}.{}:\n{}",
-                    org.name(),
-                    describe_mismatch(want.trim_end(), &got)
-                ));
-            }
+            check_golden(
+                &format!("kv.{dist}.{}.json", org.name()),
+                &kv_snapshot(&run),
+                update,
+                &mut failures,
+            );
         }
     }
-    assert!(
-        failures.is_empty(),
-        "{} kv snapshot(s) diverged from committed goldens \
-         (BV_UPDATE_GOLDENS=1 to regenerate after an intentional change):\n{}",
-        failures.len(),
-        failures.join("\n")
+    assert_no_failures("kv snapshot", &failures);
+}
+
+/// Per-thread budget of the multicore goldens: small enough for tier-1
+/// time, large enough that every thread misses in the shared LLC.
+const MP_INSTS: u64 = 100_000;
+
+/// Every counter of a [`MulticoreResult`]: each thread's IPC in
+/// shortest-roundtrip form (so one ulp of drift shows), then the shared
+/// LLC and DRAM counters.
+fn multicore_snapshot(run: &MulticoreResult) -> String {
+    let ipcs: Vec<String> = run.thread_ipc.iter().map(f64::to_string).collect();
+    let mut w = ObjWriter::new();
+    w.raw("thread_ipc", &format!("[{}]", ipcs.join(",")));
+    uncore_fields(&mut w, &run.llc, &run.dram);
+    w.finish()
+}
+
+/// Pins the shared-LLC driver: the first paper mix (four threads) under
+/// the baseline and Base-Victim, every thread IPC and uncore counter.
+#[test]
+fn multicore_counters_match_committed_goldens() {
+    let update = std::env::var_os("BV_UPDATE_GOLDENS").is_some();
+    let registry = TraceRegistry::paper_default();
+    let members = paper_mixes(&registry)[0].resolve(&registry);
+    let workloads: Vec<_> = members.iter().map(|t| t.workload.clone()).collect();
+    let mut failures = Vec::new();
+    for kind in [LlcKind::Uncompressed, LlcKind::BaseVictim] {
+        let run = MulticoreSystem::new(SimConfig::multi_program(kind)).run(&workloads, MP_INSTS);
+        check_golden(
+            &format!("mix.00.{}.json", kind.name()),
+            &multicore_snapshot(&run),
+            update,
+            &mut failures,
+        );
+    }
+    assert_no_failures("multicore snapshot", &failures);
+}
+
+/// Pins one epoch-sampled telemetry report byte for byte, header column
+/// manifest included: the `bvsim run --telemetry` configuration of the
+/// CI telemetry smoke.
+#[test]
+fn telemetry_report_matches_committed_golden() {
+    let update = std::env::var_os("BV_UPDATE_GOLDENS").is_some();
+    let registry = TraceRegistry::paper_default();
+    let trace = registry.get("specint.mcf.07").expect("trace in registry");
+    let kind = LlcKind::BaseVictim;
+    let cfg = SimConfig::single_thread(kind);
+    let mut tel = SimTelemetry::new(50_000)
+        .with_meta("trace", &trace.name)
+        .with_meta("llc", kind.name())
+        .with_meta("policy", cfg.llc_policy.name());
+    let _ = System::new(cfg).run_sampled(&trace.workload, 50_000, 200_000, &mut tel);
+    let mut failures = Vec::new();
+    check_golden(
+        "telemetry.specint.mcf.07.base-victim.jsonl",
+        &tel.into_report().to_jsonl(),
+        update,
+        &mut failures,
     );
+    assert_no_failures("telemetry report", &failures);
 }
 
 /// A diverged snapshot must name each drifted counter with both values —
