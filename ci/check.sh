@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repository quality gate: formatting, lints, build, the full test suite
 # (including the orchestration determinism/resume tests, which run as part
-# of the default `cargo test`), and the perf-regression gate (`bvsim bench
-# --quick` against the committed BENCH.json baseline).
+# of the default `cargo test`), the build and tests of the bvbench
+# benchmark package, and the perf-regression gate (`bvsim bench --quick`
+# against the committed BENCH.json baseline).
 #
 # Usage: ci/check.sh [--quick]
 #   --quick   skip workspace tests and the smoke runs, but still build
@@ -44,6 +45,12 @@ cargo build --release
 
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
+
+# bvbench is a package of its own (empty [workspace]) that builds against
+# the crates' public API, so the workspace build above never compiles it.
+echo "== bvbench build + tests (the benchmark still compiles and passes) =="
+cargo build --release --offline --manifest-path bvbench/Cargo.toml
+cargo test --offline --manifest-path bvbench/Cargo.toml -q
 
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate

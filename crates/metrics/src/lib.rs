@@ -23,7 +23,7 @@
 //! A [`Registry::disabled`] registry hands out inert handles so the
 //! metrics-off daemon path keeps identical call sites at (measured, see
 //! `BENCH.json` row `serve+metrics`) negligible cost — the crate-local
-//! equivalent of `bv-telemetry`'s `NoInstrument` and `bv-events`'
+//! equivalent of `bv-sim`'s `NoInstrument` and `bv-events`'
 //! `NoEventSink`.
 //!
 //! Like the rest of the workspace this crate is dependency-free beyond

@@ -30,7 +30,7 @@ use bv_runner::{JobSpec, JobTiming, Journal, SpanLog};
 use bv_sim::{RunResult, System};
 use bv_trace::TraceRegistry;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead as _, BufReader, BufWriter, Write as _};
+use std::io::{BufRead as _, BufReader, BufWriter, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -799,11 +799,32 @@ fn metrics_http_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
+/// The longest request line either listener reads, newline included:
+/// 1 MiB. A longer line is answered with an error and the connection is
+/// closed, so a client that never sends a newline cannot grow daemon
+/// memory without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Reads one request line of at most [`MAX_FRAME_BYTES`] bytes, or
+/// `None` when the line is longer.
+fn read_frame(stream: &TcpStream) -> std::io::Result<Option<String>> {
+    let mut frame = Vec::new();
+    BufReader::new(stream.take(MAX_FRAME_BYTES as u64 + 1)).read_until(b'\n', &mut frame)?;
+    if frame.len() > MAX_FRAME_BYTES {
+        return Ok(None);
+    }
+    String::from_utf8(frame)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
 fn serve_scrape(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let line = read_frame(&stream)?;
     let mut out = BufWriter::new(stream);
+    let Some(line) = line else {
+        write!(out, "HTTP/1.0 400 Bad Request\r\nContent-Length: 0\r\n\r\n")?;
+        return out.flush();
+    };
     let target = line.split_whitespace().nth(1).unwrap_or("");
     if line.starts_with("GET ") && target == "/metrics" {
         let body = bv_metrics::render_exposition(&metrics_snapshot(shared));
@@ -822,13 +843,15 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
     let tenant = stream
         .peer_addr()
         .map_or_else(|_| "unknown".to_string(), |a| a.ip().to_string());
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let line = read_frame(&stream)?;
     let mut out = BufWriter::new(stream);
     let reply = |out: &mut BufWriter<TcpStream>, resp: &Response| -> std::io::Result<()> {
         writeln!(out, "{}", resp.to_line())?;
         out.flush()
+    };
+    let Some(line) = line else {
+        let error = format!("request line exceeds {MAX_FRAME_BYTES} bytes");
+        return reply(&mut out, &Response::Error { error });
     };
     let request = match Request::parse_line(&line) {
         Ok(r) => r,

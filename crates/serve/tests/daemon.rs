@@ -2,6 +2,7 @@
 //! dedup, worker-crash recovery, journal-backed restart, cancel, and
 //! hostile request lines.
 
+use bv_serve::daemon::MAX_FRAME_BYTES;
 use bv_serve::{client, Daemon, Request, Response, ResultRow, ServeConfig, SweepGrid};
 use bv_trace::TraceRegistry;
 use std::collections::HashSet;
@@ -400,6 +401,64 @@ fn deeply_nested_request_is_rejected_and_the_daemon_keeps_serving() {
         }
         other => panic!("hostile line accepted: {other:?}"),
     }
+
+    // Same process, next request: a normal submit still completes.
+    let outcome = client::submit(&addr, &tiny_grid(trace_names(1)), true, |_| {}).expect("submit");
+    assert_eq!(outcome.done.expect("streamed").simulated, 2);
+    shutdown(&addr);
+    daemon.wait().expect("daemon exit");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_frames_are_rejected_and_the_daemon_keeps_serving() {
+    let dir = tmp_dir("oversized");
+    let daemon = Daemon::start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        journal: dir.join("journal"),
+        timeout: Duration::from_secs(120),
+        retries: 2,
+        port_file: None,
+        spans: None,
+        metrics: true,
+        metrics_port: Some(0),
+    })
+    .expect("start daemon");
+    let addr = daemon.addr().to_string();
+    let http = daemon.metrics_addr().expect("metrics endpoint bound");
+    let hostile = vec![b'x'; 2 << 20];
+
+    // 2 MiB with no newline: the daemon stops reading at its frame limit,
+    // answers with one error line and hangs up. It may hang up before
+    // the whole write lands, so a failed write is expected, not fatal.
+    // A daemon that waits for the newline fails the read, not the suite.
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let _ = conn.write_all(&hostile);
+    let mut reply = String::new();
+    BufReader::new(conn)
+        .read_line(&mut reply)
+        .expect("read reply");
+    match Response::parse_line(&reply).expect("reply parses") {
+        Response::Error { error } => assert_eq!(
+            error,
+            format!("request line exceeds {MAX_FRAME_BYTES} bytes")
+        ),
+        other => panic!("oversized frame accepted: {other:?}"),
+    }
+
+    // The HTTP listener bounds its request line the same way.
+    let mut conn = TcpStream::connect(http).expect("connect /metrics");
+    conn.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let _ = conn.write_all(&hostile);
+    let mut status = String::new();
+    BufReader::new(conn)
+        .read_line(&mut status)
+        .expect("read status line");
+    assert!(status.starts_with("HTTP/1.0 400"), "{status}");
 
     // Same process, next request: a normal submit still completes.
     let outcome = client::submit(&addr, &tiny_grid(trace_names(1)), true, |_| {}).expect("submit");

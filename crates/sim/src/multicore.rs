@@ -4,20 +4,15 @@
 //! channels. Each thread executes a fixed instruction budget; threads that
 //! finish early continue executing so LLC contention stays realistic (as
 //! in the paper), and the run ends when every thread has finished its
-//! measured phase.
+//! measured phase. It runs the single-core driver's drive loop
+//! (`system.rs`) with one thread per program.
 
 use crate::config::SimConfig;
-use crate::core_model::CoreModel;
 use crate::dram::DramStats;
-use crate::hierarchy::Hierarchy;
-use crate::telemetry::{MulticoreInstrument, MulticoreTelemetry, NoInstrument};
+use crate::system::drive;
+use crate::telemetry::NoInstrument;
 use bv_core::LlcStats;
 use bv_trace::synth::WorkloadSpec;
-use bv_trace::TraceGenerator;
-
-/// Per-thread address-space stride: 1 TB apart, far beyond any working
-/// set.
-const THREAD_OFFSET: u64 = 1 << 40;
 
 /// Measurements of one multi-program run.
 #[derive(Clone, Debug)]
@@ -87,87 +82,22 @@ impl MulticoreSystem {
     /// Panics if `workloads` is empty.
     #[must_use]
     pub fn run(&self, workloads: &[WorkloadSpec], instructions_each: u64) -> MulticoreResult {
-        self.run_instrumented(workloads, instructions_each, &mut NoInstrument)
-    }
-
-    /// Like [`run`](MulticoreSystem::run), but samples `telemetry` every
-    /// epoch of *aggregate* committed instructions. The simulation is
-    /// unperturbed: the result is identical to the unsampled run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workloads` is empty.
-    #[must_use]
-    pub fn run_sampled(
-        &self,
-        workloads: &[WorkloadSpec],
-        instructions_each: u64,
-        telemetry: &mut MulticoreTelemetry,
-    ) -> MulticoreResult {
-        self.run_instrumented(workloads, instructions_each, telemetry)
-    }
-
-    /// The generic driver under both entry points. With
-    /// [`NoInstrument`] the observer bookkeeping monomorphizes away.
-    #[must_use]
-    pub fn run_instrumented<I: MulticoreInstrument>(
-        &self,
-        workloads: &[WorkloadSpec],
-        instructions_each: u64,
-        instr: &mut I,
-    ) -> MulticoreResult {
-        assert!(!workloads.is_empty(), "need at least one workload");
-        let n = workloads.len();
-        let mut hierarchy = Hierarchy::new(self.cfg, n);
-        let mut cores: Vec<CoreModel> = (0..n).map(|_| CoreModel::new(self.cfg.core)).collect();
-        let mut gens: Vec<TraceGenerator> = workloads
-            .iter()
-            .enumerate()
-            .map(|(i, w)| w.generator_at(i as u64 * THREAD_OFFSET))
-            .collect();
-        let mut finished_cycles: Vec<Option<u64>> = vec![None; n];
-        // Per-thread decode rings; see `EventBatch` for why decode-ahead
-        // is bit-identical to per-iteration `next_event`.
-        let mut batches: Vec<crate::batch::EventBatch> =
-            (0..n).map(|_| crate::batch::EventBatch::new()).collect();
-        instr.begin(&cores, &hierarchy);
-        // Cached locally so the hot loop compares against a register
-        // instead of re-reading the observer through `&mut` every event.
-        let mut boundary = instr.next_boundary();
-
-        // Cycle-ordered interleaving: always step the thread whose local
-        // clock is furthest behind, so shared-resource contention is
-        // approximately simultaneous.
-        while finished_cycles.iter().any(Option::is_none) {
-            let tid = (0..n)
-                .min_by_key(|&i| cores[i].cycles())
-                .expect("at least one core");
-            let ev = batches[tid].next(&mut gens[tid]);
-            cores[tid].work(ev.instructions());
-            let now = cores[tid].cycles();
-            let out = hierarchy.access_on(tid, &ev, now, &gens[tid]);
-            cores[tid].account(&ev, &out);
-            if finished_cycles[tid].is_none() && cores[tid].instructions() >= instructions_each {
-                finished_cycles[tid] = Some(cores[tid].cycles());
-            }
-            if I::ENABLED {
-                let retired: u64 = cores.iter().map(CoreModel::instructions).sum();
-                if retired >= boundary {
-                    instr.sample(&cores, &hierarchy);
-                    boundary = instr.next_boundary();
-                }
-            }
-        }
-        instr.finish(&cores, &hierarchy);
-
-        let thread_ipc = finished_cycles
-            .iter()
-            .map(|c| instructions_each as f64 / c.expect("all finished") as f64)
-            .collect();
+        let run = drive(
+            self.cfg,
+            None,
+            workloads,
+            0,
+            instructions_each,
+            &mut NoInstrument,
+        );
         MulticoreResult {
-            thread_ipc,
-            llc: *hierarchy.uncore().llc().stats(),
-            dram: *hierarchy.uncore().dram().stats(),
+            thread_ipc: run
+                .finish_cycles
+                .iter()
+                .map(|&c| instructions_each as f64 / c as f64)
+                .collect(),
+            llc: run.result.llc,
+            dram: run.result.dram,
         }
     }
 }
@@ -176,6 +106,7 @@ impl MulticoreSystem {
 mod tests {
     use super::*;
     use crate::config::LlcKind;
+    use crate::system::THREAD_OFFSET;
     use bv_trace::synth::KernelSpec;
     use bv_trace::{DataProfile, KernelKind};
 
@@ -241,25 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn sampled_run_matches_unsampled_run_exactly() {
-        let ws: Vec<WorkloadSpec> = (0..2)
-            .map(|i| workload(i, DataProfile::PointerLike))
-            .collect();
-        let sys = MulticoreSystem::new(SimConfig::multi_program(LlcKind::BaseVictim));
-        let plain = sys.run(&ws, 40_000);
-        let mut tel = MulticoreTelemetry::new(20_000);
-        let sampled = sys.run_sampled(&ws, 40_000, &mut tel);
-        assert_eq!(plain.thread_ipc, sampled.thread_ipc);
-        assert_eq!(plain.llc, sampled.llc);
-        assert_eq!(plain.dram, sampled.dram);
-        let report = tel.into_report();
-        // Aggregate budget is >= 80k: at least three 20k epochs, with
-        // one per-thread IPC column each.
-        assert!(report.series.rows() >= 3, "{} rows", report.series.rows());
-        for t in 0..2 {
-            let ipc = report.series.f64s(&format!("ipc.t{t}")).expect("column");
-            assert!(ipc.iter().all(|&v| v >= 0.0));
-        }
+    fn one_thread_is_the_single_core_run() {
+        let w = workload(3, DataProfile::PointerLike);
+        let cfg = SimConfig::multi_program(LlcKind::BaseVictim);
+        let mc = MulticoreSystem::new(cfg).run(std::slice::from_ref(&w), 60_000);
+        let sc = crate::System::new(cfg).run(&w, 60_000);
+        assert_eq!(mc.thread_ipc, vec![60_000.0 / sc.cycles as f64]);
+        assert_eq!(mc.llc, sc.llc);
+        assert_eq!(mc.dram, sc.dram);
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! Single-core simulation driver.
+//! The drive loop under every simulation entry point, and the
+//! single-core driver.
 
+use crate::batch::EventBatch;
 use crate::config::SimConfig;
 use crate::core_model::CoreModel;
 use crate::dram::DramStats;
 use crate::hierarchy::{Hierarchy, LevelHit};
-use crate::telemetry::{Instrument, NoInstrument, SimTelemetry};
+use crate::telemetry::{Instrument, NoInstrument, SimTelemetry, UncoreSnapshot};
 use bv_compress::CompressionStats;
-use bv_core::LlcStats;
-use bv_trace::synth::WorkloadSpec;
+use bv_core::{LlcOrganization, LlcStats};
+use bv_trace::synth::{TraceGenerator, WorkloadSpec};
+use std::slice;
+
+/// Per-thread address-space stride: 1 TB apart, far beyond any working
+/// set.
+pub(crate) const THREAD_OFFSET: u64 = 1 << 40;
 
 /// The measurements of one single-core run.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,7 +137,8 @@ impl System {
         warmup: u64,
         instructions: u64,
     ) -> RunResult {
-        self.run_instrumented(workload, warmup, instructions, &mut NoInstrument)
+        let one = slice::from_ref(workload);
+        drive(self.cfg, None, one, warmup, instructions, &mut NoInstrument).result
     }
 
     /// Like [`run_with_warmup`](System::run_with_warmup), but samples
@@ -145,7 +153,8 @@ impl System {
         instructions: u64,
         telemetry: &mut SimTelemetry,
     ) -> RunResult {
-        self.run_instrumented(workload, warmup, instructions, telemetry)
+        let one = slice::from_ref(workload);
+        drive(self.cfg, None, one, warmup, instructions, telemetry).result
     }
 
     /// Like [`run_with_warmup`](System::run_with_warmup), but drives a
@@ -160,100 +169,165 @@ impl System {
         workload: &WorkloadSpec,
         warmup: u64,
         instructions: u64,
-        llc: Box<dyn bv_core::LlcOrganization>,
-    ) -> (RunResult, Box<dyn bv_core::LlcOrganization>) {
-        let hierarchy = Hierarchy::with_llc(self.cfg, 1, llc);
-        let (result, hierarchy) =
-            self.drive(hierarchy, workload, warmup, instructions, &mut NoInstrument);
-        (result, hierarchy.into_llc())
+        llc: Box<dyn LlcOrganization>,
+    ) -> (RunResult, Box<dyn LlcOrganization>) {
+        let one = slice::from_ref(workload);
+        let run = drive(
+            self.cfg,
+            Some(llc),
+            one,
+            warmup,
+            instructions,
+            &mut NoInstrument,
+        );
+        (run.result, run.llc)
     }
+}
 
-    /// The generic driver under both entry points: runs the warmup
-    /// phase, then the measured phase with `instr` observing epoch
-    /// boundaries. With [`NoInstrument`] the observer monomorphizes to
-    /// one dead `u64` compare per event.
-    #[must_use]
-    pub fn run_instrumented<I: Instrument>(
-        &self,
-        workload: &WorkloadSpec,
-        warmup: u64,
-        instructions: u64,
-        instr: &mut I,
-    ) -> RunResult {
-        let hierarchy = Hierarchy::new(self.cfg, 1);
-        self.drive(hierarchy, workload, warmup, instructions, instr)
-            .0
+/// What one [`drive`] measured.
+pub(crate) struct Drive {
+    /// The measured phase over all threads: instructions summed across
+    /// threads, cycles on the lead core clock, and the uncore deltas up
+    /// to the step that finished the last thread. For one thread these
+    /// are that thread's own counts.
+    pub(crate) result: RunResult,
+    /// Cycles each thread took to retire its measured budget.
+    pub(crate) finish_cycles: Vec<u64>,
+    /// The shared LLC, handed back so a traced caller can drain its sink.
+    pub(crate) llc: Box<dyn LlcOrganization>,
+}
+
+/// The one drive loop, under every [`System`] and
+/// [`MulticoreSystem`](crate::MulticoreSystem) entry point; a single-core
+/// run is its one-thread case.
+///
+/// Thread `i` runs `workloads[i]` on core `i` with private L1/L2 caches
+/// and a private address range; all threads share the LLC (`llc`, or a
+/// fresh one built from `cfg`) and DRAM. The loop always steps the thread
+/// whose clock is furthest behind, so shared-resource contention is
+/// approximately simultaneous. It runs until every thread has retired
+/// `warmup` instructions, snapshots the uncore, then runs the measured
+/// phase until every thread has retired `budget` more. Threads that
+/// finish early keep executing so contention stays realistic.
+///
+/// `instr` observes the measured phase. With [`NoInstrument`],
+/// `I::ENABLED` is `false` and monomorphization removes the sampling
+/// bookkeeping, boundary compare included, from the loop.
+///
+/// # Panics
+///
+/// Panics if `workloads` is empty.
+pub(crate) fn drive<I: Instrument>(
+    cfg: SimConfig,
+    llc: Option<Box<dyn LlcOrganization>>,
+    workloads: &[WorkloadSpec],
+    warmup: u64,
+    budget: u64,
+    instr: &mut I,
+) -> Drive {
+    assert!(!workloads.is_empty(), "need at least one workload");
+    let n = workloads.len();
+    let mut hierarchy = match llc {
+        Some(llc) => Hierarchy::with_llc(cfg, n, llc),
+        None => Hierarchy::new(cfg, n),
+    };
+    let mut cores: Vec<CoreModel> = (0..n).map(|_| CoreModel::new(cfg.core)).collect();
+    // One decode ring per thread spans both phases; see `EventBatch` for
+    // why decoding ahead is bit-identical to `next_event`.
+    let mut feeds: Vec<(TraceGenerator, EventBatch)> = workloads
+        .iter()
+        .zip(0..)
+        .map(|(w, i)| (w.generator_at(i * THREAD_OFFSET), EventBatch::new()))
+        .collect();
+    run_phase(&mut cores, &mut feeds, &mut hierarchy, warmup, |_, _, _| {});
+
+    let snap = UncoreSnapshot::capture(&hierarchy);
+    let (start_insts, start_cycles) = totals(&cores);
+    instr.begin(&cores, &hierarchy);
+    // Cached locally so the hot loop compares against a register
+    // instead of re-reading the observer through `&mut` every event.
+    let mut boundary = instr.next_boundary();
+    let mut level_hits = [0u64; 5];
+    let observe = |cores: &[CoreModel], hierarchy: &Hierarchy, level: LevelHit| {
+        // `LevelHit` is declared in `level_hits` order.
+        level_hits[level as usize] += 1;
+        if I::ENABLED && cores.iter().map(CoreModel::instructions).sum::<u64>() >= boundary {
+            instr.sample(cores, hierarchy);
+            boundary = instr.next_boundary();
+        }
+    };
+    let finish_cycles = run_phase(&mut cores, &mut feeds, &mut hierarchy, budget, observe);
+    instr.finish(&cores, &hierarchy);
+
+    let (end_insts, end_cycles) = totals(&cores);
+    let org = hierarchy.uncore().llc();
+    let result = RunResult {
+        llc_name: org.name(),
+        instructions: end_insts - start_insts,
+        cycles: end_cycles - start_cycles,
+        llc: org.stats().since(&snap.llc),
+        compression: org.compression_stats().since(&snap.comp),
+        dram: hierarchy.uncore().dram().stats().since(&snap.dram),
+        level_hits,
+    };
+    Drive {
+        result,
+        finish_cycles,
+        llc: hierarchy.into_llc(),
     }
+}
 
-    /// Runs warmup + measured phases on `hierarchy` and returns it with
-    /// the result, so traced callers can recover the LLC afterwards.
-    fn drive<I: Instrument>(
-        &self,
-        mut hierarchy: Hierarchy,
-        workload: &WorkloadSpec,
-        warmup: u64,
-        instructions: u64,
-        instr: &mut I,
-    ) -> (RunResult, Hierarchy) {
-        let mut core = CoreModel::new(self.cfg.core);
-        let mut gen = workload.generator();
-        let mut level_hits = [0u64; 5];
-        // Events are decoded in batches and committed as consumed, which
-        // is bit-identical to calling `next_event` per iteration (see
-        // `EventBatch`). One ring spans both phases.
-        let mut batch = crate::batch::EventBatch::new();
+/// Retired instructions summed over `cores`, and the lead core clock.
+pub(crate) fn totals(cores: &[CoreModel]) -> (u64, u64) {
+    let insts = cores.iter().map(CoreModel::instructions).sum();
+    let cycles = cores.iter().map(CoreModel::cycles).max().unwrap_or(0);
+    (insts, cycles)
+}
 
-        while core.instructions() < warmup {
-            let ev = batch.next(&mut gen);
-            core.work(ev.instructions());
-            let out = hierarchy.access_on(0, &ev, core.cycles(), &gen);
-            core.account(&ev, &out);
-        }
-        let warm_insts = core.instructions();
-        let warm_cycles = core.cycles();
-        let llc_snap = *hierarchy.uncore().llc().stats();
-        let comp_snap = hierarchy.uncore().llc().compression_stats().clone();
-        let dram_snap = *hierarchy.uncore().dram().stats();
-        instr.begin(core.instructions(), core.cycles(), &hierarchy);
-        // Cached locally so the hot loop compares against a register
-        // instead of re-reading the observer through `&mut` every event.
-        let mut boundary = instr.next_boundary();
-
-        while core.instructions() < warm_insts + instructions {
-            let ev = batch.next(&mut gen);
-            core.work(ev.instructions());
-            let out = hierarchy.access_on(0, &ev, core.cycles(), &gen);
-            core.account(&ev, &out);
-            let idx = match out.level {
-                LevelHit::L1 => 0,
-                LevelHit::L2 => 1,
-                LevelHit::LlcBase => 2,
-                LevelHit::LlcVictim => 3,
-                LevelHit::Memory => 4,
-            };
-            level_hits[idx] += 1;
-            if I::ENABLED && core.instructions() >= boundary {
-                instr.sample(core.instructions(), core.cycles(), &hierarchy);
-                boundary = instr.next_boundary();
-            }
-        }
-        instr.finish(core.instructions(), core.cycles(), &hierarchy);
-
-        let result = RunResult {
-            llc_name: hierarchy.uncore().llc().name(),
-            instructions: core.instructions() - warm_insts,
-            cycles: core.cycles() - warm_cycles,
-            llc: hierarchy.uncore().llc().stats().since(&llc_snap),
-            compression: hierarchy
-                .uncore()
-                .llc()
-                .compression_stats()
-                .since(&comp_snap),
-            dram: hierarchy.uncore().dram().stats().since(&dram_snap),
-            level_hits,
+/// Steps the thread furthest behind in cycles, calling `observe` after
+/// every step, until every thread has retired `budget` more
+/// instructions. Thread `i` is `cores[i]` fed by `feeds[i]`. Returns the
+/// cycles each thread took to retire its budget.
+#[inline(always)]
+fn run_phase<F>(
+    cores: &mut [CoreModel],
+    feeds: &mut [(TraceGenerator, EventBatch)],
+    hierarchy: &mut Hierarchy,
+    budget: u64,
+    mut observe: F,
+) -> Vec<u64>
+where
+    F: FnMut(&[CoreModel], &Hierarchy, LevelHit),
+{
+    let n = cores.len();
+    let start: Vec<u64> = cores.iter().map(CoreModel::cycles).collect();
+    let mut target: Vec<u64> = cores.iter().map(|c| c.instructions() + budget).collect();
+    let mut elapsed = vec![0; n];
+    // A count, not a scan of `target`, so the stop test stays one compare
+    // per event.
+    let mut running = if budget == 0 { 0 } else { n };
+    while running > 0 {
+        // One thread needs no pick (and no clock read to make it).
+        let tid = if n == 1 {
+            0
+        } else {
+            (0..n).min_by_key(|&i| cores[i].cycles()).unwrap_or(0)
         };
-        (result, hierarchy)
+        let core = &mut cores[tid];
+        let (gen, batch) = &mut feeds[tid];
+        let ev = batch.next(gen);
+        core.work(ev.instructions());
+        let out = hierarchy.access_on(tid, &ev, core.cycles(), gen);
+        core.account(&ev, &out);
+        if core.instructions() >= target[tid] {
+            // Finished; `u64::MAX` keeps it from finishing twice.
+            target[tid] = u64::MAX;
+            elapsed[tid] = core.cycles() - start[tid];
+            running -= 1;
+        }
+        observe(cores, hierarchy, out.level);
     }
+    elapsed
 }
 
 #[cfg(test)]

@@ -1,22 +1,19 @@
-//! Epoch-sampled instrumentation of the run loops.
+//! Epoch-sampled instrumentation of the drive loop.
 //!
-//! The drivers in [`system`](crate::system) and
-//! [`multicore`](crate::multicore) are generic over an observer —
-//! [`Instrument`] for the single-core loop, [`MulticoreInstrument`] for
-//! the shared-LLC loop. The default observer, [`NoInstrument`], compiles
-//! to nothing: `next_boundary` is `u64::MAX` (one dead compare per
-//! event) and [`Instrument::ENABLED`] is `false`, so monomorphization
-//! removes even the boundary bookkeeping from the uninstrumented path.
-//! Goldens and benchmarks therefore stay bit-identical with telemetry
-//! off.
+//! The one drive loop behind [`System`](crate::System) and
+//! [`MulticoreSystem`](crate::MulticoreSystem) is generic over an
+//! `Instrument` observer. The default observer, `NoInstrument`, sets
+//! `Instrument::ENABLED` to `false`, so monomorphization removes the
+//! sampling bookkeeping, boundary compare included, from the
+//! uninstrumented loop. Goldens and benchmarks therefore stay
+//! bit-identical with telemetry off.
 //!
-//! [`SimTelemetry`] and [`MulticoreTelemetry`] are the real observers:
-//! every `epoch_insts` committed instructions they snapshot the uncore
-//! counters, push one row of per-epoch deltas into a
-//! [`TimeSeries`], and on `finish` harvest whole-run counters
-//! (LLC events, DRAM traffic, compressed-size distribution, per-encoder
-//! selection counts). The result is a [`TelemetryReport`] ready for the
-//! `bvsim-telemetry-v1` JSONL sink.
+//! [`SimTelemetry`] is the real observer: every `epoch_insts` committed
+//! instructions it snapshots the uncore counters, pushes one row of
+//! per-epoch deltas into a [`TimeSeries`], and on `finish` harvests
+//! whole-run counters (LLC events, DRAM traffic, compressed-size
+//! distribution, per-encoder selection counts). The result is a
+//! [`TelemetryReport`] ready for the `bvsim-telemetry-v1` JSONL sink.
 //!
 //! Sampling is driven by the deterministic committed-instruction clock,
 //! never wall time, so instrumented runs remain reproducible and the
@@ -31,99 +28,60 @@ use bv_telemetry::{ColumnId, Log2Histogram, TelemetryReport, TimeSeries};
 use crate::core_model::CoreModel;
 use crate::dram::DramStats;
 use crate::hierarchy::Hierarchy;
+use crate::system::totals;
 
 pub use bv_telemetry::DEFAULT_EPOCH_INSTS;
 
-/// Observer hooks for the single-core run loop.
+/// Observer hooks for the drive loop.
 ///
 /// `begin` fires once when the measured phase starts, `sample` whenever
-/// the committed-instruction count crosses
+/// the committed-instruction count, summed over threads, crosses
 /// [`next_boundary`](Instrument::next_boundary), and `finish` once when
-/// the measured phase ends. All defaults are no-ops so that a disabled
-/// observer costs exactly one `u64` compare per trace event.
-pub trait Instrument {
-    /// `false` only for [`NoInstrument`]; lets the drivers drop sampling
-    /// bookkeeping from the monomorphized uninstrumented loop entirely.
+/// the measured phase ends. Every hook sees the cores, one per thread,
+/// and the shared hierarchy.
+pub(crate) trait Instrument {
+    /// `false` only for [`NoInstrument`]; lets the drive loop drop the
+    /// sampling bookkeeping from the monomorphized uninstrumented loop.
     const ENABLED: bool = true;
 
-    /// The measured phase is starting at `insts` committed instructions
-    /// and `cycles` elapsed core cycles (warmup included in both).
-    fn begin(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
-        let _ = (insts, cycles, hierarchy);
-    }
+    /// The measured phase is starting (warmup already retired).
+    fn begin(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy);
 
-    /// The committed-instruction count at which the driver should call
-    /// [`sample`](Instrument::sample) next. `u64::MAX` never fires.
-    fn next_boundary(&self) -> u64 {
-        u64::MAX
-    }
+    /// The summed committed-instruction count at which the drive loop
+    /// should call [`sample`](Instrument::sample) next.
+    fn next_boundary(&self) -> u64;
 
     /// An epoch boundary was crossed.
-    fn sample(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
-        let _ = (insts, cycles, hierarchy);
-    }
+    fn sample(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy);
 
     /// The measured phase ended.
-    fn finish(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
-        let _ = (insts, cycles, hierarchy);
-    }
+    fn finish(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy);
 }
 
-/// Observer hooks for the multi-program run loop.
-///
-/// The shared-LLC driver has no single clock, so the hooks see the
-/// per-thread [`CoreModel`]s and sampling is keyed on the *aggregate*
-/// committed-instruction count across threads.
-pub trait MulticoreInstrument {
-    /// `false` only for [`NoInstrument`]; drops the aggregate-retired
-    /// bookkeeping from the monomorphized uninstrumented loop.
-    const ENABLED: bool = true;
-
-    /// The run is starting.
-    fn begin(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let _ = (cores, hierarchy);
-    }
-
-    /// The aggregate committed-instruction count at which the driver
-    /// should call [`sample`](MulticoreInstrument::sample) next.
-    fn next_boundary(&self) -> u64 {
-        u64::MAX
-    }
-
-    /// An epoch boundary was crossed.
-    fn sample(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let _ = (cores, hierarchy);
-    }
-
-    /// The run ended.
-    fn finish(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let _ = (cores, hierarchy);
-    }
-}
-
-/// The do-nothing observer the plain `run` entry points use.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoInstrument;
+/// The do-nothing observer the unsampled entry points use.
+pub(crate) struct NoInstrument;
 
 impl Instrument for NoInstrument {
     const ENABLED: bool = false;
-}
-
-impl MulticoreInstrument for NoInstrument {
-    const ENABLED: bool = false;
+    fn begin(&mut self, _: &[CoreModel], _: &Hierarchy) {}
+    fn next_boundary(&self) -> u64 {
+        u64::MAX
+    }
+    fn sample(&mut self, _: &[CoreModel], _: &Hierarchy) {}
+    fn finish(&mut self, _: &[CoreModel], _: &Hierarchy) {}
 }
 
 /// Uncore counter snapshot used for epoch deltas and whole-run totals.
 #[derive(Clone, Debug)]
-struct UncoreSnapshot {
-    llc: LlcStats,
-    comp: CompressionStats,
-    dram: DramStats,
+pub(crate) struct UncoreSnapshot {
+    pub(crate) llc: LlcStats,
+    pub(crate) comp: CompressionStats,
+    pub(crate) dram: DramStats,
     encoders: Vec<(&'static str, u64)>,
 }
 
 impl UncoreSnapshot {
-    fn capture(hierarchy: &Hierarchy) -> UncoreSnapshot {
+    pub(crate) fn capture(hierarchy: &Hierarchy) -> UncoreSnapshot {
         let llc = hierarchy.uncore().llc();
         UncoreSnapshot {
             llc: *llc.stats(),
@@ -134,142 +92,7 @@ impl UncoreSnapshot {
     }
 }
 
-/// Resident logical lines expressed as kibibytes of uncompressed data —
-/// the paper's "effective capacity" (compressed organizations exceed
-/// their physical size when lines share ways).
-fn effective_kib(hierarchy: &Hierarchy) -> f64 {
-    let llc = hierarchy.uncore().llc();
-    let lines = llc.resident_lines().len();
-    (lines * llc.geometry().line_bytes()) as f64 / 1024.0
-}
-
-/// The per-epoch columns shared by the single-core and multicore
-/// samplers, plus the two epoch histograms.
-#[derive(Clone, Debug)]
-struct EpochSeries {
-    series: TimeSeries,
-    insts: ColumnId,
-    ipc: ColumnId,
-    llc_mpki: ColumnId,
-    victim_hit_rate: ColumnId,
-    victim_drops: ColumnId,
-    comp_ratio: ColumnId,
-    effective_kib: ColumnId,
-    dram_reads: ColumnId,
-    dram_writes: ColumnId,
-    epoch_dram_reads: Log2Histogram,
-    epoch_victim_drops: Log2Histogram,
-}
-
-impl EpochSeries {
-    fn new() -> EpochSeries {
-        let mut series = TimeSeries::new();
-        EpochSeries {
-            insts: series.u64_column("insts"),
-            ipc: series.f64_column("ipc"),
-            llc_mpki: series.f64_column("llc_mpki"),
-            victim_hit_rate: series.f64_column("victim_hit_rate"),
-            victim_drops: series.u64_column("victim_drops"),
-            comp_ratio: series.f64_column("comp_ratio"),
-            effective_kib: series.f64_column("effective_kib"),
-            dram_reads: series.u64_column("dram_reads"),
-            dram_writes: series.u64_column("dram_writes"),
-            epoch_dram_reads: Log2Histogram::new(),
-            epoch_victim_drops: Log2Histogram::new(),
-            series,
-        }
-    }
-
-    /// Pushes the shared columns of one epoch row from measured deltas.
-    /// The caller appends any extra columns and seals the row.
-    fn push_shared(
-        &mut self,
-        measured_insts: u64,
-        d_insts: u64,
-        d_cycles: u64,
-        prev: &UncoreSnapshot,
-        cur: &UncoreSnapshot,
-        hierarchy: &Hierarchy,
-    ) {
-        let llc = cur.llc.since(&prev.llc);
-        let comp = cur.comp.since(&prev.comp);
-        let dram = cur.dram.since(&prev.dram);
-
-        self.series.push_u64(self.insts, measured_insts);
-        self.series.push_f64(
-            self.ipc,
-            if d_cycles == 0 {
-                0.0
-            } else {
-                d_insts as f64 / d_cycles as f64
-            },
-        );
-        self.series.push_f64(
-            self.llc_mpki,
-            if d_insts == 0 {
-                0.0
-            } else {
-                llc.read_misses as f64 * 1000.0 / d_insts as f64
-            },
-        );
-        self.series
-            .push_f64(self.victim_hit_rate, llc.victim_hit_rate());
-        self.series.push_u64(self.victim_drops, llc.victim_drops());
-        self.series.push_f64(self.comp_ratio, comp.mean_ratio());
-        self.series
-            .push_f64(self.effective_kib, effective_kib(hierarchy));
-        self.series.push_u64(self.dram_reads, dram.reads);
-        self.series.push_u64(self.dram_writes, dram.writes);
-
-        self.epoch_dram_reads.record(dram.reads);
-        self.epoch_victim_drops.record(llc.victim_drops());
-    }
-
-    /// Whole-run counters from the measured-phase deltas, in a fixed
-    /// registration order.
-    fn harvest_counters(begin: &UncoreSnapshot, end: &UncoreSnapshot) -> Vec<(String, u64)> {
-        let llc = end.llc.since(&begin.llc);
-        let comp = end.comp.since(&begin.comp);
-        let dram = end.dram.since(&begin.dram);
-
-        let mut counters = vec![
-            ("llc.base_hits".to_string(), llc.base_hits),
-            ("llc.victim_hits".to_string(), llc.victim_hits),
-            ("llc.read_misses".to_string(), llc.read_misses),
-            ("llc.demand_fills".to_string(), llc.demand_fills),
-            ("llc.prefetch_fills".to_string(), llc.prefetch_fills),
-            ("llc.prefetch_hits".to_string(), llc.prefetch_hits),
-            ("llc.writeback_hits".to_string(), llc.writeback_hits),
-            ("llc.memory_writes".to_string(), llc.memory_writes),
-            ("llc.back_invalidations".to_string(), llc.back_invalidations),
-            ("llc.migrations".to_string(), llc.migrations),
-            ("llc.victim_inserts".to_string(), llc.victim_inserts),
-            (
-                "llc.victim_insert_failures".to_string(),
-                llc.victim_insert_failures,
-            ),
-            ("llc.partner_evictions".to_string(), llc.partner_evictions),
-            ("dram.reads".to_string(), dram.reads),
-            ("dram.writes".to_string(), dram.writes),
-            ("dram.row_hits".to_string(), dram.row_hits),
-            ("dram.row_misses".to_string(), dram.row_misses),
-        ];
-        let histogram = comp.histogram();
-        for segments in 1..=SEGMENTS_PER_LINE {
-            counters.push((format!("size.{segments:02}seg"), histogram[segments - 1]));
-        }
-        // Encoder tallies are cumulative in the organization; subtract
-        // the begin snapshot so counters cover the measured phase only.
-        for (i, (name, total)) in end.encoders.iter().enumerate() {
-            let warm = begin.encoders.get(i).map_or(0, |(_, n)| *n);
-            counters.push((format!("encoder.{name}"), total - warm));
-        }
-        counters
-    }
-}
-
-/// The epoch sampler for single-core runs
-/// (`bvsim run --telemetry <file>`).
+/// The epoch sampler (`bvsim run --telemetry <file>`).
 ///
 /// Drive it through [`System::run_sampled`](crate::System::run_sampled),
 /// then convert with [`SimTelemetry::into_report`].
@@ -278,7 +101,10 @@ impl EpochSeries {
 /// kilo-instruction, victim-cache hit rate, victim drops (failed
 /// parkings plus partner evictions), mean compression ratio, effective
 /// capacity in KiB, and DRAM read/write transfers. The final epoch may
-/// be shorter than `epoch_insts` (the run's tail).
+/// be shorter than `epoch_insts` (the run's tail). The epoch clock and
+/// the `insts` column count committed instructions summed over threads,
+/// and `ipc` divides them by the lead core clock; for a single-core run
+/// both are simply the core's own.
 ///
 /// # Examples
 ///
@@ -299,9 +125,24 @@ impl EpochSeries {
 pub struct SimTelemetry {
     epoch_insts: u64,
     meta: BTreeMap<String, String>,
-    epochs: EpochSeries,
+    series: TimeSeries,
+    insts: ColumnId,
+    ipc: ColumnId,
+    llc_mpki: ColumnId,
+    victim_hit_rate: ColumnId,
+    victim_drops: ColumnId,
+    comp_ratio: ColumnId,
+    effective_kib: ColumnId,
+    dram_reads: ColumnId,
+    dram_writes: ColumnId,
+    epoch_dram_reads: Log2Histogram,
+    epoch_victim_drops: Log2Histogram,
     next: u64,
-    begin: Option<(u64, u64, UncoreSnapshot)>,
+    /// Committed instructions and uncore counters when the measured
+    /// phase began.
+    begin: Option<(u64, UncoreSnapshot)>,
+    /// Committed instructions, lead clock and uncore counters at the
+    /// last row.
     prev: Option<(u64, u64, UncoreSnapshot)>,
     counters: Vec<(String, u64)>,
 }
@@ -316,10 +157,22 @@ impl SimTelemetry {
     #[must_use]
     pub fn new(epoch_insts: u64) -> SimTelemetry {
         assert!(epoch_insts > 0, "epoch must be at least one instruction");
+        let mut series = TimeSeries::new();
         SimTelemetry {
             epoch_insts,
             meta: BTreeMap::new(),
-            epochs: EpochSeries::new(),
+            insts: series.u64_column("insts"),
+            ipc: series.f64_column("ipc"),
+            llc_mpki: series.f64_column("llc_mpki"),
+            victim_hit_rate: series.f64_column("victim_hit_rate"),
+            victim_drops: series.u64_column("victim_drops"),
+            comp_ratio: series.f64_column("comp_ratio"),
+            effective_kib: series.f64_column("effective_kib"),
+            dram_reads: series.u64_column("dram_reads"),
+            dram_writes: series.u64_column("dram_writes"),
+            series,
+            epoch_dram_reads: Log2Histogram::new(),
+            epoch_victim_drops: Log2Histogram::new(),
             next: u64::MAX,
             begin: None,
             prev: None,
@@ -335,20 +188,50 @@ impl SimTelemetry {
         self
     }
 
-    fn push_row(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
+    /// Pushes one epoch row of deltas since the previous row.
+    fn push_row(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
+        let (insts, cycles) = totals(cores);
         let cur = UncoreSnapshot::capture(hierarchy);
-        let (begin_insts, _, _) = self.begin.as_ref().expect("begin() not called");
-        let measured = insts - begin_insts;
+        let begin_insts = self.begin.as_ref().expect("begin() not called").0;
         let (prev_insts, prev_cycles, prev) = self.prev.as_ref().expect("begin() not called");
-        self.epochs.push_shared(
-            measured,
-            insts - prev_insts,
-            cycles - prev_cycles,
-            prev,
-            &cur,
-            hierarchy,
+        let (d_insts, d_cycles) = (insts - prev_insts, cycles - prev_cycles);
+        let llc = cur.llc.since(&prev.llc);
+        let comp = cur.comp.since(&prev.comp);
+        let dram = cur.dram.since(&prev.dram);
+        // Resident logical lines as KiB of uncompressed data: the paper's
+        // "effective capacity" (compressed organizations exceed their
+        // physical size when lines share ways).
+        let org = hierarchy.uncore().llc();
+        let effective_kib =
+            (org.resident_lines().len() * org.geometry().line_bytes()) as f64 / 1024.0;
+
+        self.series.push_u64(self.insts, insts - begin_insts);
+        self.series.push_f64(
+            self.ipc,
+            if d_cycles == 0 {
+                0.0
+            } else {
+                d_insts as f64 / d_cycles as f64
+            },
         );
-        self.epochs.series.end_row();
+        self.series.push_f64(
+            self.llc_mpki,
+            if d_insts == 0 {
+                0.0
+            } else {
+                llc.read_misses as f64 * 1000.0 / d_insts as f64
+            },
+        );
+        self.series
+            .push_f64(self.victim_hit_rate, llc.victim_hit_rate());
+        self.series.push_u64(self.victim_drops, llc.victim_drops());
+        self.series.push_f64(self.comp_ratio, comp.mean_ratio());
+        self.series.push_f64(self.effective_kib, effective_kib);
+        self.series.push_u64(self.dram_reads, dram.reads);
+        self.series.push_u64(self.dram_writes, dram.writes);
+        self.series.end_row();
+        self.epoch_dram_reads.record(dram.reads);
+        self.epoch_victim_drops.record(llc.victim_drops());
         self.prev = Some((insts, cycles, cur));
     }
 
@@ -359,13 +242,10 @@ impl SimTelemetry {
         TelemetryReport {
             epoch_insts: self.epoch_insts,
             meta: self.meta,
-            series: self.epochs.series,
+            series: self.series,
             histograms: vec![
-                ("epoch_dram_reads".to_string(), self.epochs.epoch_dram_reads),
-                (
-                    "epoch_victim_drops".to_string(),
-                    self.epochs.epoch_victim_drops,
-                ),
+                ("epoch_dram_reads".to_string(), self.epoch_dram_reads),
+                ("epoch_victim_drops".to_string(), self.epoch_victim_drops),
             ],
             counters: self.counters,
         }
@@ -373,9 +253,10 @@ impl SimTelemetry {
 }
 
 impl Instrument for SimTelemetry {
-    fn begin(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
+    fn begin(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
+        let (insts, cycles) = totals(cores);
         let snap = UncoreSnapshot::capture(hierarchy);
-        self.begin = Some((insts, cycles, snap.clone()));
+        self.begin = Some((insts, snap.clone()));
         self.prev = Some((insts, cycles, snap));
         self.next = insts + self.epoch_insts;
     }
@@ -384,185 +265,68 @@ impl Instrument for SimTelemetry {
         self.next
     }
 
-    fn sample(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
-        self.push_row(insts, cycles, hierarchy);
+    fn sample(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
+        self.push_row(cores, hierarchy);
         // Events commit several instructions at once, so a boundary can
         // be overshot; advance past the current count, not by one step.
+        let insts = totals(cores).0;
         while self.next <= insts {
             self.next += self.epoch_insts;
         }
     }
 
-    fn finish(&mut self, insts: u64, cycles: u64, hierarchy: &Hierarchy) {
-        if self
-            .prev
-            .as_ref()
-            .is_some_and(|(prev_insts, _, _)| insts > *prev_insts)
-        {
-            // Tail shorter than one epoch.
-            self.push_row(insts, cycles, hierarchy);
-        }
-        let (_, _, begin) = self.begin.as_ref().expect("begin() not called");
-        let end = UncoreSnapshot::capture(hierarchy);
-        self.counters = EpochSeries::harvest_counters(begin, &end);
-        self.next = u64::MAX;
-    }
-}
-
-/// The epoch sampler for shared-LLC multi-program runs.
-///
-/// Like [`SimTelemetry`], plus one `ipc.t<i>` column per thread; the
-/// `insts` column and the epoch clock are the *aggregate* committed
-/// instructions across threads, and `ipc` is the aggregate count over
-/// the furthest-ahead core clock. Columns are created when the run
-/// starts (thread count known), so one sampler serves one run.
-///
-/// # Examples
-///
-/// ```no_run
-/// use bv_sim::{LlcKind, MulticoreSystem, MulticoreTelemetry, SimConfig};
-/// use bv_trace::{mix::paper_mixes, TraceRegistry};
-///
-/// let reg = TraceRegistry::paper_default();
-/// let members = paper_mixes(&reg)[0].resolve(&reg);
-/// let workloads: Vec<_> = members.iter().map(|t| t.workload.clone()).collect();
-/// let mut telemetry = MulticoreTelemetry::new(100_000);
-/// MulticoreSystem::new(SimConfig::multi_program(LlcKind::BaseVictim))
-///     .run_sampled(&workloads, 500_000, &mut telemetry);
-/// let report = telemetry.into_report();
-/// assert!(report.series.column("ipc.t0").is_some());
-/// ```
-#[derive(Clone, Debug)]
-pub struct MulticoreTelemetry {
-    epoch_insts: u64,
-    meta: BTreeMap<String, String>,
-    epochs: EpochSeries,
-    thread_ipc: Vec<ColumnId>,
-    next: u64,
-    begin: Option<UncoreSnapshot>,
-    prev: Option<(Vec<(u64, u64)>, UncoreSnapshot)>,
-    counters: Vec<(String, u64)>,
-}
-
-impl MulticoreTelemetry {
-    /// Creates a sampler that fires every `epoch_insts` aggregate
-    /// committed instructions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch_insts` is zero.
-    #[must_use]
-    pub fn new(epoch_insts: u64) -> MulticoreTelemetry {
-        assert!(epoch_insts > 0, "epoch must be at least one instruction");
-        MulticoreTelemetry {
-            epoch_insts,
-            meta: BTreeMap::new(),
-            epochs: EpochSeries::new(),
-            thread_ipc: Vec::new(),
-            next: u64::MAX,
-            begin: None,
-            prev: None,
-            counters: Vec::new(),
-        }
-    }
-
-    /// Attaches a run-identity key to the report header.
-    #[must_use]
-    pub fn with_meta(mut self, key: &str, value: &str) -> MulticoreTelemetry {
-        self.meta.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    fn push_row(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let cur = UncoreSnapshot::capture(hierarchy);
-        let clocks: Vec<(u64, u64)> = cores
-            .iter()
-            .map(|c| (c.instructions(), c.cycles()))
-            .collect();
-        let (prev_clocks, prev) = self.prev.as_ref().expect("begin() not called");
-
-        let retired: u64 = clocks.iter().map(|(i, _)| i).sum();
-        let d_insts = retired - prev_clocks.iter().map(|(i, _)| i).sum::<u64>();
-        let lead = clocks.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        let d_cycles = lead - prev_clocks.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        self.epochs
-            .push_shared(retired, d_insts, d_cycles, prev, &cur, hierarchy);
-        for (t, &col) in self.thread_ipc.iter().enumerate() {
-            let di = clocks[t].0 - prev_clocks[t].0;
-            let dc = clocks[t].1 - prev_clocks[t].1;
-            self.epochs
-                .series
-                .push_f64(col, if dc == 0 { 0.0 } else { di as f64 / dc as f64 });
-        }
-        self.epochs.series.end_row();
-        self.prev = Some((clocks, cur));
-    }
-
-    /// Consumes the sampler into the serializable report.
-    #[must_use]
-    pub fn into_report(self) -> TelemetryReport {
-        TelemetryReport {
-            epoch_insts: self.epoch_insts,
-            meta: self.meta,
-            series: self.epochs.series,
-            histograms: vec![
-                ("epoch_dram_reads".to_string(), self.epochs.epoch_dram_reads),
-                (
-                    "epoch_victim_drops".to_string(),
-                    self.epochs.epoch_victim_drops,
-                ),
-            ],
-            counters: self.counters,
-        }
-    }
-}
-
-impl MulticoreInstrument for MulticoreTelemetry {
-    fn begin(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        assert!(
-            self.thread_ipc.is_empty(),
-            "a MulticoreTelemetry samples one run"
-        );
-        for t in 0..cores.len() {
-            let col = self.epochs.series.f64_column(&format!("ipc.t{t}"));
-            self.thread_ipc.push(col);
-        }
-        let snap = UncoreSnapshot::capture(hierarchy);
-        self.begin = Some(snap.clone());
-        let clocks = cores
-            .iter()
-            .map(|c| (c.instructions(), c.cycles()))
-            .collect();
-        self.prev = Some((clocks, snap));
-        self.next = self.epoch_insts;
-    }
-
-    fn next_boundary(&self) -> u64 {
-        self.next
-    }
-
-    fn sample(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        self.push_row(cores, hierarchy);
-        let retired: u64 = cores.iter().map(CoreModel::instructions).sum();
-        while self.next <= retired {
-            self.next += self.epoch_insts;
-        }
-    }
-
     fn finish(&mut self, cores: &[CoreModel], hierarchy: &Hierarchy) {
-        let retired: u64 = cores.iter().map(CoreModel::instructions).sum();
-        let sampled = self
-            .prev
-            .as_ref()
-            .map_or(0, |(clocks, _)| clocks.iter().map(|(i, _)| i).sum());
-        if retired > sampled {
+        let insts = totals(cores).0;
+        if self.prev.as_ref().is_some_and(|(prev, _, _)| insts > *prev) {
+            // Tail shorter than one epoch.
             self.push_row(cores, hierarchy);
         }
-        let begin = self.begin.as_ref().expect("begin() not called");
-        let end = UncoreSnapshot::capture(hierarchy);
-        self.counters = EpochSeries::harvest_counters(begin, &end);
+        let (_, begin) = self.begin.as_ref().expect("begin() not called");
+        self.counters = harvest_counters(begin, &UncoreSnapshot::capture(hierarchy));
         self.next = u64::MAX;
     }
+}
+
+/// Whole-run counters from the measured-phase deltas, in a fixed
+/// registration order.
+fn harvest_counters(begin: &UncoreSnapshot, end: &UncoreSnapshot) -> Vec<(String, u64)> {
+    let llc = end.llc.since(&begin.llc);
+    let comp = end.comp.since(&begin.comp);
+    let dram = end.dram.since(&begin.dram);
+
+    let mut counters = vec![
+        ("llc.base_hits".to_string(), llc.base_hits),
+        ("llc.victim_hits".to_string(), llc.victim_hits),
+        ("llc.read_misses".to_string(), llc.read_misses),
+        ("llc.demand_fills".to_string(), llc.demand_fills),
+        ("llc.prefetch_fills".to_string(), llc.prefetch_fills),
+        ("llc.prefetch_hits".to_string(), llc.prefetch_hits),
+        ("llc.writeback_hits".to_string(), llc.writeback_hits),
+        ("llc.memory_writes".to_string(), llc.memory_writes),
+        ("llc.back_invalidations".to_string(), llc.back_invalidations),
+        ("llc.migrations".to_string(), llc.migrations),
+        ("llc.victim_inserts".to_string(), llc.victim_inserts),
+        (
+            "llc.victim_insert_failures".to_string(),
+            llc.victim_insert_failures,
+        ),
+        ("llc.partner_evictions".to_string(), llc.partner_evictions),
+        ("dram.reads".to_string(), dram.reads),
+        ("dram.writes".to_string(), dram.writes),
+        ("dram.row_hits".to_string(), dram.row_hits),
+        ("dram.row_misses".to_string(), dram.row_misses),
+    ];
+    let histogram = comp.histogram();
+    for segments in 1..=SEGMENTS_PER_LINE {
+        counters.push((format!("size.{segments:02}seg"), histogram[segments - 1]));
+    }
+    // Encoder tallies are cumulative in the organization; subtract the
+    // begin snapshot so counters cover the measured phase only.
+    for (i, (name, total)) in end.encoders.iter().enumerate() {
+        let warm = begin.encoders.get(i).map_or(0, |(_, n)| *n);
+        counters.push((format!("encoder.{name}"), total - warm));
+    }
+    counters
 }
 
 #[cfg(test)]
