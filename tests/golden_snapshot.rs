@@ -7,6 +7,10 @@
 //! that shifts a single counter fails here — the size-cache memoization and
 //! the word-wise kernel rewrites must be behaviorally invisible.
 //!
+//! A strided streaming trace (`specfp.milc.19`) is pinned under the
+//! baseline and Base-Victim, so the prefetcher's non-unit-stride path is
+//! covered too.
+//!
 //! The shared-LLC driver is pinned the same way on the first paper mix,
 //! and one epoch-sampled telemetry report is pinned line for line, so a
 //! change to either drive loop or to the sampler shows up here too.
@@ -222,6 +226,29 @@ fn end_to_end_counters_match_committed_goldens() {
         }
     }
     assert_no_failures("snapshot", &failures);
+}
+
+/// A cache-insensitive streaming trace whose second kernel walks a 32 MB
+/// region with a 256 B stride: the only sample whose prefetcher trains on
+/// a non-unit line delta, so the strided run-ahead path is pinned here.
+const STRIDED_TRACE: &str = "specfp.milc.19";
+
+#[test]
+fn strided_prefetch_counters_match_committed_goldens() {
+    let update = std::env::var_os("BV_UPDATE_GOLDENS").is_some();
+    let registry = TraceRegistry::paper_default();
+    let mut failures = Vec::new();
+    for kind in [LlcKind::Uncompressed, LlcKind::BaseVictim] {
+        check_one(
+            SimConfig::single_thread(kind),
+            STRIDED_TRACE,
+            &format!("{STRIDED_TRACE}.{}", kind.name()),
+            &registry,
+            update,
+            &mut failures,
+        );
+    }
+    assert_no_failures("strided snapshot", &failures);
 }
 
 /// Every integer counter the kv tier emits, as one stable JSON object.
