@@ -2,7 +2,8 @@
 # Repository quality gate: formatting, lints, build, the full test suite
 # (including the orchestration determinism/resume tests, which run as part
 # of the default `cargo test`), the build and tests of the bvbench
-# benchmark package, and the perf-regression gate (`bvsim bench --quick`
+# benchmark package, a short traced run of each bvbench workload that must
+# pass its fidelity checks, and the perf-regression gate (`bvsim bench --quick`
 # against the committed BENCH.json baseline).
 #
 # Usage: ci/check.sh [--quick]
@@ -51,6 +52,20 @@ cargo test --workspace -q
 echo "== bvbench build + tests (the benchmark still compiles and passes) =="
 cargo build --release --offline --manifest-path bvbench/Cargo.toml
 cargo test --offline --manifest-path bvbench/Cargo.toml -q
+
+echo "== bvbench fidelity (every workload, traced, 2 s each) =="
+# A traced run rebuilds the single-core drive loop from public bv-sim calls
+# and checks it bit for bit against run_with_warmup, and every workload
+# checks its outputs, so hot-path drift fails here. The step needs the
+# result line to say "correct": true with no failed operation.
+for workload in sweep-reuse serve-mix kv-mix; do
+    RESULT=$(cargo run --release --quiet --offline --manifest-path bvbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+    if ! grep -q '"correct": true' <<<"$RESULT" || ! grep -q '"failed": 0,' <<<"$RESULT"; then
+        echo "bvbench $workload: fidelity checks failed: $RESULT" >&2
+        exit 1
+    fi
+done
 
 echo "== bvsim bench --quick (perf gate vs committed BENCH.json) =="
 bench_gate

@@ -4,8 +4,14 @@ use core::fmt;
 
 /// The shape of one cache: capacity, associativity, and line size.
 ///
-/// All quantities must be powers of two so that set indexing is a simple
-/// bit-field extraction, as in the modeled hardware.
+/// The line size and set count must be powers of two so that set indexing
+/// is a simple bit-field extraction, as in the modeled hardware. The index
+/// width is computed once, when the geometry is built, so [`sets`],
+/// [`set_index`] and [`tag`] are shifts and masks with no divide.
+///
+/// [`sets`]: CacheGeometry::sets
+/// [`set_index`]: CacheGeometry::set_index
+/// [`tag`]: CacheGeometry::tag
 ///
 /// # Examples
 ///
@@ -22,6 +28,8 @@ pub struct CacheGeometry {
     size_bytes: usize,
     ways: usize,
     line_bytes: usize,
+    /// log2 of the set count.
+    index_bits: u32,
 }
 
 impl CacheGeometry {
@@ -83,6 +91,7 @@ impl CacheGeometry {
             size_bytes,
             ways,
             line_bytes,
+            index_bits: sets.trailing_zeros(),
         })
     }
 
@@ -107,13 +116,13 @@ impl CacheGeometry {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.size_bytes / (self.ways * self.line_bytes)
+        1 << self.index_bits
     }
 
     /// Bits of the line address used as the set index.
     #[must_use]
     pub fn index_bits(&self) -> u32 {
-        self.sets().trailing_zeros()
+        self.index_bits
     }
 
     /// Bits of the byte address used as the line offset.
@@ -125,13 +134,13 @@ impl CacheGeometry {
     /// Set index for a line address (byte address >> offset bits).
     #[must_use]
     pub fn set_index(&self, line: u64) -> usize {
-        (line & (self.sets() as u64 - 1)) as usize
+        (line & ((1 << self.index_bits) - 1)) as usize
     }
 
     /// Tag for a line address (the bits above the set index).
     #[must_use]
     pub fn tag(&self, line: u64) -> u64 {
-        line >> self.index_bits()
+        line >> self.index_bits
     }
 }
 
@@ -238,6 +247,33 @@ mod tests {
                 Err(want.to_string())
             );
         }
+    }
+
+    #[test]
+    fn shift_and_mask_indexing_matches_the_division_formulas() {
+        let mut accepted = 0;
+        for line_bytes in [1usize, 16, 32, 64, 128, 256] {
+            for ways in 1..=CacheGeometry::MAX_WAYS {
+                for size_kb in (1..=64).chain([96, 128, 192, 256, 384, 512, 768, 1024]) {
+                    for size_bytes in [size_kb * 1024, size_kb * 1024 * 3, size_kb * 64] {
+                        let Ok(g) = CacheGeometry::try_new(size_bytes, ways, line_bytes) else {
+                            continue;
+                        };
+                        accepted += 1;
+                        let sets = size_bytes / (ways * line_bytes);
+                        assert_eq!(g.sets(), sets, "{g:?}");
+                        assert_eq!(g.index_bits(), sets.trailing_zeros(), "{g:?}");
+                        for line in [0u64, 1, 0x3f, 0xabcd_1234, 0x1234_5678_9abc, u64::MAX] {
+                            assert_eq!(g.set_index(line), (line % sets as u64) as usize, "{g:?}");
+                            assert_eq!(g.tag(line), line / sets as u64, "{g:?}");
+                        }
+                    }
+                }
+            }
+        }
+        // 24-way (the paper's 3 MB and 6 MB LLCs) is in the sweep.
+        assert!(CacheGeometry::try_new(3 * 1024 * 1024, 24, 64).is_ok());
+        assert!(accepted > 1000, "only {accepted} geometries accepted");
     }
 
     #[test]

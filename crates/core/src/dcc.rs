@@ -142,8 +142,8 @@ impl<P: ReplacementPolicy, E: EventSink> DccLlc<P, E> {
     /// so neighbors share a set.
     fn locate_super(&self, addr: LineAddr) -> (usize, u64, usize) {
         let sb_addr = addr.get() / SUPER_BLOCK_LINES as u64;
-        let set = (sb_addr % self.geom.sets() as u64) as usize;
-        let tag = sb_addr / self.geom.sets() as u64;
+        let set = self.geom.set_index(sb_addr);
+        let tag = self.geom.tag(sb_addr);
         let member = (addr.get() % SUPER_BLOCK_LINES as u64) as usize;
         (set, tag, member)
     }
@@ -162,7 +162,7 @@ impl<P: ReplacementPolicy, E: EventSink> DccLlc<P, E> {
     /// Rebuilds a member line's address from its super-block coordinates.
     fn member_addr(&self, set: usize, sb_tag: u64, member: usize) -> LineAddr {
         LineAddr::new(
-            (sb_tag * self.geom.sets() as u64 + set as u64) * SUPER_BLOCK_LINES as u64
+            ((sb_tag << self.geom.index_bits()) | set as u64) * SUPER_BLOCK_LINES as u64
                 + member as u64,
         )
     }

@@ -47,6 +47,9 @@ pub struct CoreCaches {
     l1d: BasicCache,
     l2: BasicCache,
     prefetcher: StreamPrefetcher,
+    /// The prefetcher's candidates for the current access, reused from
+    /// access to access.
+    prefetches: Vec<u64>,
 }
 
 impl CoreCaches {
@@ -58,6 +61,7 @@ impl CoreCaches {
             l1d: BasicCache::new(cfg.l1d, PolicyKind::Lru),
             l2: BasicCache::new(cfg.l2, PolicyKind::Lru),
             prefetcher: StreamPrefetcher::new(cfg.prefetch_degree),
+            prefetches: Vec::new(),
         }
     }
 
@@ -274,7 +278,9 @@ impl Hierarchy {
         // "aggressive multi-stream instruction and data prefetchers", so
         // instruction fetches train streams too (sequential code is the
         // easiest stream there is).
-        let prefetches = core.prefetcher.observe(ev.addr);
+        let mut prefetches = std::mem::take(&mut core.prefetches);
+        prefetches.clear();
+        core.prefetcher.observe(ev.addr, &mut prefetches);
 
         let outcome = if l1_hit {
             AccessOutcome {
@@ -292,10 +298,15 @@ impl Hierarchy {
             outcome
         };
 
-        // Issue prefetches below the L1 (they fill L2 + LLC).
-        for pa in prefetches {
-            self.prefetch_line(core_id, pa, now, gen);
+        // Issue prefetches below the L1 (they fill L2 + LLC). Most
+        // candidates are already in the L2 and need nothing.
+        for &pa in &prefetches {
+            let addr = LineAddr::from_byte_addr(pa);
+            if self.cores[core_id].l2.probe(addr).is_none() {
+                self.prefetch_line(core_id, addr, now, gen);
+            }
         }
+        self.cores[core_id].prefetches = prefetches;
 
         outcome
     }
@@ -371,13 +382,11 @@ impl Hierarchy {
         }
     }
 
-    /// Issues one prefetch: fills LLC (and L2) if absent, consuming DRAM
-    /// bandwidth off the critical path.
-    fn prefetch_line(&mut self, core_id: usize, byte_addr: u64, now: u64, gen: &TraceGenerator) {
-        let addr = LineAddr::from_byte_addr(byte_addr);
-        if self.cores[core_id].l2.probe(addr).is_some() {
-            return; // already close to the core
-        }
+    /// Issues one prefetch of a line absent from the core's L2: fills the
+    /// LLC if absent (consuming DRAM bandwidth off the critical path) and
+    /// the L2.
+    fn prefetch_line(&mut self, core_id: usize, addr: LineAddr, now: u64, gen: &TraceGenerator) {
+        let byte_addr = addr.byte_addr();
         let fills_before = self.uncore.llc.stats().prefetch_fills;
         let data = gen.line_data(byte_addr);
         {
@@ -401,9 +410,9 @@ impl Hierarchy {
             .llc
             .peek_data(addr)
             .expect("line resident after prefetch");
-        if self.cores[core_id].l2.probe(addr).is_none() {
-            self.fill_l2(core_id, addr, data);
-        }
+        // The LLC fill can only back-invalidate inner lines, so the line
+        // is still absent from the L2.
+        self.fill_l2(core_id, addr, data);
     }
 
     /// Checks strict inclusion: every L1/L2-resident line is LLC-resident.

@@ -5,6 +5,7 @@ use crate::kernel::{Kernel, KernelKind};
 use crate::record::{AccessKind, TraceEvent};
 use bv_compress::CacheLine;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One kernel's slice of a workload.
 #[derive(Clone, Debug)]
@@ -131,6 +132,33 @@ fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
+/// A fixed multiplicative hasher for line numbers: one multiply per
+/// lookup instead of the default SipHash's rounds. The keys are lines
+/// the generator's own kernels produce, never outside input, so SipHash's
+/// protection against crafted collisions buys nothing here. The epoch
+/// map is only ever read by key and never iterated, so no iteration
+/// order can reach a result.
+#[derive(Clone, Copy, Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's low bits depend only on the key's low bits; rotate
+        // the well-mixed high bits down to where the table indexes.
+        self.0.rotate_left(26)
+    }
+}
+
 /// A deterministic, infinite trace generator with an address-to-profile
 /// map for data synthesis.
 #[derive(Clone, Debug)]
@@ -144,8 +172,10 @@ pub struct TraceGenerator {
     code_cursor: u64,
     rng: u64,
     /// Per-line write epochs: bumped on every store so rewritten lines
-    /// get fresh (same-profile) values.
-    epochs: HashMap<u64, u32>,
+    /// get fresh (same-profile) values. Looked up twice per store (the
+    /// bump in `commit`, the store value in `line_data`) and once per
+    /// fill, so it hashes with [`LineHasher`]; it is never iterated.
+    epochs: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
     /// Address-space shift for multi-program isolation.
     offset: u64,
 }
@@ -178,7 +208,7 @@ impl TraceGenerator {
             code_lines: (spec.code_bytes / 64).max(1),
             code_cursor: 0,
             rng: spec.seed.wrapping_mul(0x5851_f42d_4c95_7f2d) | 1,
-            epochs: HashMap::new(),
+            epochs: HashMap::default(),
             offset,
         }
     }
